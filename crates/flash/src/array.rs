@@ -2,38 +2,21 @@
 
 use checkin_sim::{CounterSet, Resource, SimTime, TraceEvent, TraceLayer, Tracer, Window};
 
-use crate::content::PageContent;
+use crate::content::{BlockContent, PageContent, PageView, SealedOob, SealedUnit};
 use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultPhase, FaultPlan, TickOutcome};
 use crate::geometry::{BlockId, FlashGeometry, Ppn};
 use crate::phase::OpPhase;
 use crate::timing::FlashTiming;
 
-/// Lifecycle of a physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
-    Erased,
-    Programmed,
-}
-
-/// Per-block bookkeeping.
-#[derive(Debug, Clone)]
+/// Per-block bookkeeping. A page is programmed iff its index is below
+/// the block's write cursor — the number of pages `content` holds — since
+/// NAND programs pages in order and erases whole blocks.
+#[derive(Debug, Default)]
 struct BlockState {
-    /// Next page index that may be programmed (NAND requires in-order
-    /// programming within a block).
-    write_cursor: u32,
     erase_count: u64,
-    pages: Vec<PageState>,
-}
-
-impl BlockState {
-    fn new(pages_per_block: u32) -> Self {
-        BlockState {
-            write_cursor: 0,
-            erase_count: 0,
-            pages: vec![PageState::Erased; pages_per_block as usize],
-        }
-    }
+    /// Sealed content of the programmed pages.
+    content: BlockContent,
 }
 
 /// The simulated NAND array.
@@ -42,6 +25,10 @@ impl BlockState {
 /// out-of-place and in-order programming rules, accounts P/E cycles, and
 /// models operation timing through per-die and per-channel FIFO resources.
 ///
+/// Page content lives with its block: each block stores the sealed units
+/// and OOB records of its programmed pages, so building an array costs
+/// O(blocks) and memory grows only with what has been programmed.
+///
 /// # Examples
 ///
 /// ```
@@ -49,8 +36,8 @@ impl BlockState {
 /// use checkin_sim::SimTime;
 ///
 /// let mut flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
-/// let content = PageContent::empty(8);
-/// let w = flash.program(Ppn(0), content, SimTime::ZERO)?;
+/// let mut content = PageContent::empty(8);
+/// let w = flash.program(Ppn(0), &mut content, SimTime::ZERO)?;
 /// assert!(w.finish > w.start);
 /// assert!(flash.read(Ppn(0)).is_some());
 /// # Ok::<(), checkin_flash::FlashError>(())
@@ -60,7 +47,6 @@ pub struct FlashArray {
     geometry: FlashGeometry,
     timing: FlashTiming,
     blocks: Vec<BlockState>,
-    store: Vec<Option<PageContent>>,
     dies: Vec<Resource>,
     channels: Vec<Resource>,
     counters: CounterSet,
@@ -86,14 +72,11 @@ pub struct FlashArray {
     powered_off: bool,
     /// Blocks with grown permanent defects.
     bad_blocks: Vec<bool>,
-    /// Cleared [`PageContent`] shells harvested by [`FlashArray::erase`],
-    /// handed back out by [`FlashArray::spare_page`] so the firmware's
-    /// steady-state program path reuses buffers instead of allocating.
-    spare_pages: Vec<PageContent>,
 }
 
 impl FlashArray {
-    /// Creates an array with every page erased.
+    /// Creates an array with every page erased. Costs O(blocks): no page
+    /// storage exists until a block is first programmed.
     ///
     /// # Panics
     ///
@@ -103,13 +86,12 @@ impl FlashArray {
             .validate()
             .unwrap_or_else(|e| panic!("invalid flash geometry: {e}"));
         let blocks = (0..geometry.total_blocks())
-            .map(|_| BlockState::new(geometry.pages_per_block))
+            .map(|_| BlockState::default())
             .collect();
         FlashArray {
             geometry,
             timing,
             blocks,
-            store: vec![None; geometry.total_pages() as usize],
             dies: (0..geometry.total_dies())
                 .map(|_| Resource::new("die"))
                 .collect(),
@@ -126,27 +108,6 @@ impl FlashArray {
             tracer: Tracer::disabled(),
             powered_off: false,
             bad_blocks: vec![false; geometry.total_blocks() as usize],
-            spare_pages: Vec::new(),
-        }
-    }
-
-    /// Number of recycled page-content shells currently pooled (tests
-    /// use this to confirm steady state has been reached).
-    pub fn spare_page_count(&self) -> usize {
-        self.spare_pages.len()
-    }
-
-    /// Hands out a cleared page-content shell with `units` empty slots,
-    /// reusing a buffer harvested from an earlier erase when one is
-    /// available. In steady state (programs balanced by GC erases) this
-    /// makes page programming allocation-free.
-    pub fn spare_page(&mut self, units: usize) -> PageContent {
-        match self.spare_pages.pop() {
-            Some(mut c) => {
-                c.units.resize(units, None);
-                c
-            }
-            None => PageContent::empty(units),
         }
     }
 
@@ -232,8 +193,7 @@ impl FlashArray {
     pub fn write_cursor(&self, block: BlockId) -> u32 {
         self.blocks
             .get(block.0 as usize)
-            .map(|b| b.write_cursor)
-            .unwrap_or(0)
+            .map_or(0, |b| b.content.pages())
     }
 
     /// True when `block` has a grown permanent defect.
@@ -316,55 +276,62 @@ impl FlashArray {
     /// Flips one seeded bit in a stored data unit (`data == true`) or OOB
     /// record of some programmed page, *without* resealing its checksums:
     /// the damage stays latent until a verified read or scrub visits it.
-    /// The victim is found by probing forward from a drawn start page.
+    /// The victim is the first programmed page at or after a drawn start
+    /// page (wrapping), found over the write cursors.
     fn apply_bit_rot(&mut self, data: bool) {
-        let total = self.geometry.total_pages();
-        let start = self.fault_draw(total);
-        let mut victim = None;
-        for off in 0..total {
-            let idx = ((start + off) % total) as usize;
-            if matches!(self.store.get(idx), Some(Some(_))) {
-                victim = Some(idx);
-                break;
-            }
-        }
-        let Some(idx) = victim else {
+        let start = self.fault_draw(self.geometry.total_pages());
+        let Some(ppn) = self.first_programmed_from(Ppn(start)) else {
             return; // nothing programmed yet; the draw still happened
         };
         let mask = 1u64 << self.fault_draw(48);
-        let page = |store: &[Option<PageContent>]| {
-            store
-                .get(idx)
-                .and_then(|p| p.as_ref())
-                .map(|c| (c.units.len(), c.oob.len()))
-        };
+        let (units_len, oob_len) = self
+            .read(ppn)
+            .map_or((0, 0), |v| (v.unit_slots(), v.oob_len()));
         if data {
-            let units_len = page(&self.store).map_or(0, |(u, _)| u);
             if units_len == 0 {
                 return;
             }
             let start_u = self.fault_draw(units_len as u64) as usize;
-            if let Some(c) = self.store.get_mut(idx).and_then(|p| p.as_mut()) {
-                for off in 0..units_len {
-                    let i = (start_u + off) % units_len;
-                    if c.units.get(i).is_some_and(|u| u.is_some()) {
-                        c.flip_unit_bits(i, mask);
-                        self.counters.incr("flash.bit_rot_data");
-                        return;
-                    }
-                }
+            // The first occupied unit at or after the drawn one, wrapping.
+            let hit = self.page_mut(ppn).and_then(|(units, _)| {
+                let mut probe = (0..units_len).map(|off| (start_u + off) % units_len);
+                let victim = probe.find(|&i| units.get(i).is_some_and(SealedUnit::is_occupied));
+                victim
+                    .and_then(|i| units.get_mut(i))
+                    .map(|u| u.flip_bits(mask))
+            });
+            if hit.is_some() {
+                self.counters.incr("flash.bit_rot_data");
             }
         } else {
-            let oob_len = page(&self.store).map_or(0, |(_, o)| o);
             if oob_len == 0 {
                 return;
             }
             let i = self.fault_draw(oob_len as u64) as usize;
-            if let Some(c) = self.store.get_mut(idx).and_then(|p| p.as_mut()) {
-                c.flip_oob_bits(i, mask);
+            let hit = self
+                .page_mut(ppn)
+                .and_then(|(_, oob)| oob.get_mut(i))
+                .map(|entry| entry.flip_bits(mask));
+            if hit.is_some() {
                 self.counters.incr("flash.bit_rot_oob");
             }
         }
+    }
+
+    /// The first programmed page at or after `start`, wrapping around the
+    /// array: the rest of `start`'s block, then each following block's
+    /// first page, then the head of `start`'s block. O(blocks).
+    fn first_programmed_from(&self, start: Ppn) -> Option<Ppn> {
+        let g = &self.geometry;
+        let first = g.block_of(start).0;
+        if g.page_in_block(start) < self.write_cursor(BlockId(first)) {
+            return Some(start);
+        }
+        let blocks = g.total_blocks();
+        (1..=blocks)
+            .map(|k| BlockId((first + k) % blocks))
+            .find(|&b| self.write_cursor(b) > 0)
+            .map(|b| g.first_ppn(b))
     }
 
     /// Sets an explicit P/E budget per block; further erases return
@@ -427,19 +394,22 @@ impl FlashArray {
         })
     }
 
-    /// Returns the content of a programmed page, or `None` when erased.
-    pub fn read(&self, ppn: Ppn) -> Option<&PageContent> {
-        self.store.get(ppn.0 as usize).and_then(|c| c.as_ref())
-    }
-
-    /// Compatibility wrapper: content lookup ignoring time (reads are
-    /// non-destructive; pass the completion time from
-    /// [`FlashArray::schedule_read`] when timing matters).
-    pub fn read_at(&self, ppn: Ppn, _at: SimTime) -> Option<&PageContent> {
-        self.read(ppn)
+    /// Returns a view of a programmed page's sealed content, or `None`
+    /// when the page is erased (or out of range).
+    pub fn read(&self, ppn: Ppn) -> Option<PageView<'_>> {
+        self.blocks
+            .get(self.geometry.block_of(ppn).0 as usize)?
+            .content
+            .page(self.geometry.page_in_block(ppn))
     }
 
     /// Programs one page: bus transfer then array program (tPROG).
+    ///
+    /// The payloads move into the array, sealed with their checksums: on
+    /// success `content` is left with its unit slots empty and no OOB
+    /// records, ready to be refilled. A failed program leaves `content`
+    /// untouched so the caller can retry it — except a power cut with
+    /// torn writes enabled, which commits (and consumes) it.
     ///
     /// # Errors
     ///
@@ -450,7 +420,7 @@ impl FlashArray {
     pub fn program(
         &mut self,
         ppn: Ppn,
-        mut content: PageContent,
+        content: &mut PageContent,
         at: SimTime,
     ) -> Result<Window, FlashError> {
         self.check_range(ppn)?;
@@ -459,18 +429,15 @@ impl FlashArray {
         if self.bad_blocks[block.0 as usize] {
             return Err(FlashError::GrownBadBlock(block));
         }
-        {
-            let state = &self.blocks[block.0 as usize];
-            match state.pages[page as usize] {
-                PageState::Programmed => return Err(FlashError::ProgramDirtyPage(ppn)),
-                PageState::Erased => {}
-            }
-            if page != state.write_cursor {
-                return Err(FlashError::ProgramOutOfOrder {
-                    requested: ppn,
-                    expected_page: state.write_cursor,
-                });
-            }
+        let cursor = self.write_cursor(block);
+        if page < cursor {
+            return Err(FlashError::ProgramDirtyPage(ppn));
+        }
+        if page != cursor {
+            return Err(FlashError::ProgramOutOfOrder {
+                requested: ppn,
+                expected_page: cursor,
+            });
         }
         // Every failure path must run before any mutation so that a cut
         // or media error leaves the array exactly as it was — except a
@@ -489,26 +456,22 @@ impl FlashArray {
             }
             return Err(e);
         }
-        // Seal per-unit and per-OOB checksums at program time; injectors
+        // Misdirected write: the program "succeeds", but what lands no
+        // longer matches the checksums sealed for it.
+        let misdirect = self
+            .faults
+            .as_mut()
+            .is_some_and(FaultPlan::misdirect_draw)
+            .then(|| 1u64 << self.fault_draw(48));
+        // Units and OOB records are sealed as they are stored; injectors
         // mutate tags after this point without resealing.
-        content.seal();
-        if self.faults.as_mut().is_some_and(FaultPlan::misdirect_draw) {
-            // Misdirected write: the program "succeeds", but what landed
-            // no longer matches the checksums sealed for it.
-            let mask = 1u64 << self.fault_draw(48);
-            for i in 0..content.units.len() {
-                if content.units[i].is_some() {
-                    content.flip_unit_bits(i, mask);
-                }
-            }
-            for i in 0..content.oob.len() {
-                content.flip_oob_bits(i, mask);
-            }
+        let ppb = self.geometry.pages_per_block;
+        let state = &mut self.blocks[block.0 as usize];
+        state.content.push(content, ppb);
+        if let Some(mask) = misdirect {
+            state.content.scramble(page, 0, mask);
             self.counters.incr("flash.misdirected_programs");
         }
-        let state = &mut self.blocks[block.0 as usize];
-        state.pages[page as usize] = PageState::Programmed;
-        state.write_cursor += 1;
 
         let (die, channel) = self.die_and_channel(ppn);
         let xfer = self.channels[channel].schedule(
@@ -516,7 +479,6 @@ impl FlashArray {
             self.timing.transfer_time(self.geometry.page_bytes as u64),
         );
         let array = self.dies[die].schedule(xfer.finish, self.timing.t_program);
-        self.store[ppn.0 as usize] = Some(content);
         self.counters.incr("flash.program");
         self.counters.incr(self.op_phase.program_key());
         let phase = self.op_phase;
@@ -543,27 +505,18 @@ impl FlashArray {
         ppn: Ppn,
         block: BlockId,
         page: u32,
-        mut content: PageContent,
+        content: &mut PageContent,
         at: SimTime,
     ) {
-        content.seal();
         let units = content.units.len() as u64;
         let intact = self.fault_draw(units + 1);
-        if intact < units {
-            let mask = 1u64 << self.fault_draw(48);
-            for i in (intact as usize)..content.units.len() {
-                if content.units[i].is_some() {
-                    content.flip_unit_bits(i, mask);
-                }
-            }
-            for i in 0..content.oob.len() {
-                content.flip_oob_bits(i, mask);
-            }
-        }
+        let mask = (intact < units).then(|| 1u64 << self.fault_draw(48));
+        let ppb = self.geometry.pages_per_block;
         let state = &mut self.blocks[block.0 as usize];
-        state.pages[page as usize] = PageState::Programmed;
-        state.write_cursor += 1;
-        self.store[ppn.0 as usize] = Some(content);
+        state.content.push(content, ppb);
+        if let Some(mask) = mask {
+            state.content.scramble(page, intact as usize, mask);
+        }
         self.counters.incr("flash.torn_writes");
         let phase = self.op_phase;
         self.tracer.emit(|| {
@@ -597,25 +550,9 @@ impl FlashArray {
         self.fault_gate(FaultOp::Erase, None, Some(block))?;
         let state = &mut self.blocks[block.0 as usize];
         state.erase_count += 1;
-        state.write_cursor = 0;
-        for p in &mut state.pages {
-            *p = PageState::Erased;
-        }
+        // Cleared in place: the next cycle reuses the block's storage.
+        state.content.clear();
         let erase_count = state.erase_count;
-        // Programs outpace erases between checkpoints (journal blocks are
-        // only recycled at zone retirement), so keep enough shells to cover
-        // a full inter-checkpoint window of page programs.
-        let pool_cap = (self.geometry.pages_per_block as usize * 16).min(4096);
-        let first = self.geometry.first_ppn(block);
-        for off in 0..self.geometry.pages_per_block as u64 {
-            if let Some(mut c) = self.store[(first.0 + off) as usize].take() {
-                if self.spare_pages.len() < pool_cap {
-                    c.units.clear();
-                    c.clear_for_reuse();
-                    self.spare_pages.push(c);
-                }
-            }
-        }
         let die = self.geometry.die_of_block(block) as usize;
         let window = self.dies[die].schedule(at, self.timing.t_erase);
         self.counters.incr("flash.erase");
@@ -639,9 +576,12 @@ impl FlashArray {
     /// corruption exactly where a scenario needs it; never call it
     /// anywhere else.
     pub fn sabotage_corrupt_unit(&mut self, ppn: Ppn, offset: u32, mask: u64) -> bool {
-        match self.store.get_mut(ppn.0 as usize) {
-            Some(Some(c)) if matches!(c.units.get(offset as usize), Some(Some(_))) => {
-                c.flip_unit_bits(offset as usize, mask);
+        match self
+            .page_mut(ppn)
+            .and_then(|(units, _)| units.get_mut(offset as usize))
+        {
+            Some(u) if u.is_occupied() => {
+                u.flip_bits(mask);
                 true
             }
             _ => false,
@@ -652,21 +592,30 @@ impl FlashArray {
     /// (`ppn`, `index`) without resealing (see
     /// [`FlashArray::sabotage_corrupt_unit`]).
     pub fn sabotage_corrupt_oob(&mut self, ppn: Ppn, index: u32, mask: u64) -> bool {
-        match self.store.get_mut(ppn.0 as usize) {
-            Some(Some(c)) if (index as usize) < c.oob.len() => {
-                c.flip_oob_bits(index as usize, mask);
+        match self
+            .page_mut(ppn)
+            .and_then(|(_, oob)| oob.get_mut(index as usize))
+        {
+            Some(entry) => {
+                entry.flip_bits(mask);
                 true
             }
-            _ => false,
+            None => false,
         }
+    }
+
+    /// Mutable sealed units and OOB records of a programmed page.
+    fn page_mut(&mut self, ppn: Ppn) -> Option<(&mut [SealedUnit], &mut [SealedOob])> {
+        let page = self.geometry.page_in_block(ppn);
+        self.blocks
+            .get_mut(self.geometry.block_of(ppn).0 as usize)?
+            .content
+            .page_mut(page)
     }
 
     /// True when `ppn` holds programmed data.
     pub fn is_programmed(&self, ppn: Ppn) -> bool {
-        self.store
-            .get(ppn.0 as usize)
-            .map(|c| c.is_some())
-            .unwrap_or(false)
+        self.geometry.page_in_block(ppn) < self.write_cursor(self.geometry.block_of(ppn))
     }
 
     /// Erase count of one block.
@@ -750,9 +699,10 @@ mod tests {
     #[test]
     fn program_then_read_roundtrips_content() {
         let mut f = array();
-        f.program(Ppn(0), page_with(7, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(7, 1), SimTime::ZERO)
+            .unwrap();
         let c = f.read(Ppn(0)).unwrap();
-        assert_eq!(c.units[0].as_ref().unwrap().fragments[0].key, 7);
+        assert_eq!(c.unit(0).unwrap().fragments[0].key, 7);
         assert!(f.is_programmed(Ppn(0)));
         assert!(!f.is_programmed(Ppn(1)));
     }
@@ -760,9 +710,10 @@ mod tests {
     #[test]
     fn double_program_rejected() {
         let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         let err = f
-            .program(Ppn(0), page_with(1, 2), SimTime::ZERO)
+            .program(Ppn(0), &mut page_with(1, 2), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, FlashError::ProgramDirtyPage(Ppn(0)));
     }
@@ -771,7 +722,7 @@ mod tests {
     fn out_of_order_program_rejected() {
         let mut f = array();
         let err = f
-            .program(Ppn(2), page_with(1, 1), SimTime::ZERO)
+            .program(Ppn(2), &mut page_with(1, 1), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, FlashError::ProgramOutOfOrder { .. }));
     }
@@ -779,18 +730,21 @@ mod tests {
     #[test]
     fn erase_resets_block_for_reprogramming() {
         let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
         assert!(f.read(Ppn(0)).is_none());
         assert_eq!(f.erase_count(BlockId(0)), 1);
         // After erase, page 0 can be programmed again.
-        f.program(Ppn(0), page_with(1, 2), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 2), SimTime::ZERO)
+            .unwrap();
     }
 
     #[test]
     fn counters_track_operations() {
         let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         f.schedule_read(Ppn(0), SimTime::ZERO).unwrap();
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
         assert_eq!(f.counters().get("flash.program"), 1);
@@ -802,7 +756,9 @@ mod tests {
     #[test]
     fn program_timing_includes_bus_and_array() {
         let mut f = array();
-        let w = f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        let w = f
+            .program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         let expected = f.timing().transfer_time(4096) + f.timing().t_program;
         assert_eq!(w.finish.duration_since(w.start), expected);
     }
@@ -811,8 +767,12 @@ mod tests {
     fn same_die_ops_serialize() {
         let mut f = array();
         // Ppn(0) and Ppn(1) are in block 0: same die.
-        let w1 = f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
-        let w2 = f.program(Ppn(1), page_with(2, 1), SimTime::ZERO).unwrap();
+        let w1 = f
+            .program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
+        let w2 = f
+            .program(Ppn(1), &mut page_with(2, 1), SimTime::ZERO)
+            .unwrap();
         assert!(w2.finish > w1.finish);
     }
 
@@ -823,8 +783,8 @@ mod tests {
         // Block 0 is channel 0; block 1 is channel 1.
         let p0 = g.first_ppn(BlockId(0));
         let p1 = g.first_ppn(BlockId(1));
-        let w0 = f.program(p0, page_with(1, 1), SimTime::ZERO).unwrap();
-        let w1 = f.program(p1, page_with(2, 1), SimTime::ZERO).unwrap();
+        let w0 = f.program(p0, &mut page_with(1, 1), SimTime::ZERO).unwrap();
+        let w1 = f.program(p1, &mut page_with(2, 1), SimTime::ZERO).unwrap();
         // Fully parallel: both start at zero.
         assert_eq!(w0.start, w1.start);
         assert_eq!(w0.finish, w1.finish);
@@ -892,12 +852,13 @@ mod tests {
     fn scheduled_power_cut_freezes_device_without_mutation() {
         use crate::fault::{FaultConfig, FaultPlan};
         let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         // Next fault-clock tick is the cut: the program must fail before
         // touching page state.
         f.arm_faults(FaultPlan::new(FaultConfig::power_cut(3, 1)));
         let err = f
-            .program(Ppn(1), page_with(2, 1), SimTime::ZERO)
+            .program(Ppn(1), &mut page_with(2, 1), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, FlashError::PowerLoss);
         assert!(f.powered_off());
@@ -916,7 +877,8 @@ mod tests {
         assert!(f.read(Ppn(0)).is_some(), "recovery scans stay possible");
         // Power back on: the cut was one-shot, operations succeed again.
         f.power_on();
-        f.program(Ppn(1), page_with(2, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(1), &mut page_with(2, 1), SimTime::ZERO)
+            .unwrap();
         assert_eq!(f.counters().get("flash.power_cuts"), 1);
     }
 
@@ -924,7 +886,8 @@ mod tests {
     fn cut_before_erase_preserves_block_content() {
         use crate::fault::{FaultConfig, FaultPlan};
         let mut f = array();
-        f.program(Ppn(0), page_with(9, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(9, 1), SimTime::ZERO)
+            .unwrap();
         f.arm_faults(FaultPlan::new(FaultConfig::power_cut(0, 1)));
         assert_eq!(
             f.erase(BlockId(0), SimTime::ZERO).unwrap_err(),
@@ -944,7 +907,7 @@ mod tests {
             ..FaultConfig::default()
         }));
         let err = f
-            .program(Ppn(0), page_with(1, 1), SimTime::ZERO)
+            .program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, FlashError::GrownBadBlock(BlockId(0)));
         assert!(f.is_bad_block(BlockId(0)));
@@ -952,7 +915,7 @@ mod tests {
         // Later attempts fail up front without consuming fault ticks.
         let ticks = f.fault_plan().unwrap().ticks();
         assert_eq!(
-            f.program(Ppn(0), page_with(1, 1), SimTime::ZERO)
+            f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
                 .unwrap_err(),
             FlashError::GrownBadBlock(BlockId(0))
         );
@@ -978,7 +941,7 @@ mod tests {
         let mut failures = 0;
         let mut page = 0u64;
         while page < 8 {
-            match f.program(Ppn(page), page_with(page, 1), SimTime::ZERO) {
+            match f.program(Ppn(page), &mut page_with(page, 1), SimTime::ZERO) {
                 Ok(_) => page += 1,
                 Err(FlashError::TransientProgram(p)) => {
                     assert_eq!(p, Ppn(page));
@@ -999,10 +962,11 @@ mod tests {
     #[test]
     fn programs_seal_checksums_that_reads_can_verify() {
         let mut f = array();
-        f.program(Ppn(0), page_with(7, 3), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(7, 3), SimTime::ZERO)
+            .unwrap();
         let c = f.read(Ppn(0)).unwrap();
-        assert!(c.is_sealed());
         assert!(c.intact());
+        assert_eq!(c.occupied_units(), 1);
     }
 
     #[test]
@@ -1019,7 +983,7 @@ mod tests {
                 ..FaultConfig::power_cut(seed, 1)
             }));
             let err = f2
-                .program(Ppn(0), page_with(5, 1), SimTime::ZERO)
+                .program(Ppn(0), &mut page_with(5, 1), SimTime::ZERO)
                 .unwrap_err();
             assert_eq!(err, FlashError::PowerLoss);
             assert!(f2.powered_off());
@@ -1029,7 +993,6 @@ mod tests {
             assert_eq!(f2.counters().get("flash.torn_writes"), 1);
             assert_eq!(f2.counters().get("flash.program"), 0);
             let c = f2.read(Ppn(0)).unwrap();
-            assert!(c.is_sealed());
             if !c.intact() {
                 saw_corrupt = true;
                 f = f2;
@@ -1047,7 +1010,7 @@ mod tests {
         let mut f = array();
         f.arm_faults(FaultPlan::new(FaultConfig::power_cut(3, 1)));
         let err = f
-            .program(Ppn(0), page_with(5, 1), SimTime::ZERO)
+            .program(Ppn(0), &mut page_with(5, 1), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, FlashError::PowerLoss);
         assert!(!f.is_programmed(Ppn(0)));
@@ -1065,12 +1028,12 @@ mod tests {
             ..FaultConfig::default()
         }));
         // The program reports success...
-        f.program(Ppn(0), page_with(9, 2), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(9, 2), SimTime::ZERO)
+            .unwrap();
         assert_eq!(f.counters().get("flash.misdirected_programs"), 1);
         assert_eq!(f.counters().get("flash.program"), 1);
         // ...but the landed page fails verification.
         let c = f.read(Ppn(0)).unwrap();
-        assert!(c.is_sealed());
         assert!(!c.intact());
     }
 
@@ -1085,7 +1048,7 @@ mod tests {
             sequence: 1,
             kind: OobKind::Data,
         });
-        f.program(Ppn(0), page, SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page, SimTime::ZERO).unwrap();
         f.arm_faults(FaultPlan::new(FaultConfig {
             seed: 17,
             bit_rot_data: 1.0,
@@ -1101,20 +1064,41 @@ mod tests {
         // Erasing the block launders the corruption away entirely.
         f.arm_faults(FaultPlan::new(FaultConfig::default()));
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
-        f.program(Ppn(0), page_with(3, 2), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(3, 2), SimTime::ZERO)
+            .unwrap();
         assert!(f.read(Ppn(0)).unwrap().intact());
     }
 
     #[test]
-    fn spare_shells_forget_previous_seals() {
+    fn program_moves_payloads_and_keeps_the_buffer_reusable() {
         let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        let mut buf = page_with(1, 1);
+        f.program(Ppn(0), &mut buf, SimTime::ZERO).unwrap();
+        assert_eq!(buf.units.len(), 8, "slots kept");
+        assert!(buf.units.iter().all(Option::is_none) && buf.oob.is_empty());
+        // A failed program leaves the buffer untouched for the retry.
+        buf.units[0] = Some(UnitPayload::single(2, 1, 512));
+        let err = f.program(Ppn(0), &mut buf, SimTime::ZERO).unwrap_err();
+        assert_eq!(err, FlashError::ProgramDirtyPage(Ppn(0)));
+        assert!(buf.units[0].is_some());
+        f.program(Ppn(1), &mut buf, SimTime::ZERO).unwrap();
+        assert_eq!(f.read(Ppn(1)).unwrap().unit(0).unwrap().fragments[0].key, 2);
+        assert_eq!(f.read(Ppn(0)).unwrap().unit(0).unwrap().fragments[0].key, 1);
+    }
+
+    #[test]
+    fn erase_forgets_previous_seals() {
+        let mut f = array();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
+        assert!(f.sabotage_corrupt_unit(Ppn(0), 0, 1 << 4));
+        assert!(!f.read(Ppn(0)).unwrap().intact());
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
-        assert!(f.spare_page_count() > 0);
-        let shell = f.spare_page(8);
-        assert!(shell.oob.is_empty());
-        assert!(shell.units.iter().all(Option::is_none));
-        assert!(shell.intact(), "recycled shell starts unsealed and clean");
+        assert!(!f.is_programmed(Ppn(0)));
+        assert!(!f.sabotage_corrupt_unit(Ppn(0), 0, 1), "erased page");
+        f.program(Ppn(0), &mut page_with(1, 2), SimTime::ZERO)
+            .unwrap();
+        assert!(f.read(Ppn(0)).unwrap().intact(), "reused storage reseals");
     }
 
     #[test]
@@ -1123,29 +1107,33 @@ mod tests {
         f.cut_power();
         assert!(f.powered_off());
         assert_eq!(
-            f.program(Ppn(0), page_with(1, 1), SimTime::ZERO)
+            f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
                 .unwrap_err(),
             FlashError::PowerLoss
         );
         f.power_on();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
     }
 
     #[test]
     fn phase_attribution_sums_to_totals() {
         let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         let prev = f.set_op_phase(OpPhase::CheckpointCopy);
         assert_eq!(prev, OpPhase::Run);
         f.schedule_read(Ppn(0), SimTime::ZERO).unwrap();
-        f.program(Ppn(1), page_with(2, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(1), &mut page_with(2, 1), SimTime::ZERO)
+            .unwrap();
         // Nested phase change (GC inside a copy) restores cleanly.
         let prev = f.set_op_phase(OpPhase::Gc);
         assert_eq!(prev, OpPhase::CheckpointCopy);
         f.erase(BlockId(1), SimTime::ZERO).unwrap();
         f.set_op_phase(prev);
         f.set_op_phase(OpPhase::Run);
-        f.program(Ppn(2), page_with(3, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(2), &mut page_with(3, 1), SimTime::ZERO)
+            .unwrap();
 
         let c = f.counters();
         for (total, key_of) in [
@@ -1171,7 +1159,8 @@ mod tests {
         let mut f = array();
         let t = Tracer::ring_buffered(16);
         f.set_tracer(t.clone());
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        f.program(Ppn(0), &mut page_with(1, 1), SimTime::ZERO)
+            .unwrap();
         f.schedule_read(Ppn(0), SimTime::ZERO).unwrap();
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
         let ops: Vec<&str> = t.drain().iter().map(|e| e.op).collect();

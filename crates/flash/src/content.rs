@@ -270,18 +270,19 @@ pub struct OobEntry {
     pub kind: OobKind,
 }
 
-/// Everything programmed into one physical page.
+/// What the firmware hands to [`FlashArray::program`](crate::FlashArray::program)
+/// for one physical page: per-unit payloads and OOB records, unsealed.
+///
+/// The array seals each unit and record with its checksum as it stores
+/// them and *moves* the payloads out, leaving this buffer with the same
+/// number of (empty) unit slots and no OOB records — ready to be filled
+/// for the next page without allocating.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PageContent {
     /// Per-mapping-unit payloads; `None` marks a padded (unused) unit.
     pub units: Vec<Option<UnitPayload>>,
     /// OOB records, parallel to `units` where applicable.
     pub oob: Vec<OobEntry>,
-    /// Per-unit checksums sealed at program time, parallel to `units`
-    /// (zero for padded slots). Empty until [`PageContent::seal`] runs.
-    unit_crcs: Vec<u32>,
-    /// Per-record OOB checksums, parallel to `oob`. Empty until sealed.
-    oob_crcs: Vec<u32>,
 }
 
 impl PageContent {
@@ -290,8 +291,6 @@ impl PageContent {
         PageContent {
             units: vec![None; units],
             oob: Vec::new(),
-            unit_crcs: Vec::new(),
-            oob_crcs: Vec::new(),
         }
     }
 
@@ -304,82 +303,243 @@ impl PageContent {
     pub fn payload_bytes(&self) -> u64 {
         self.units.iter().flatten().map(|u| u.bytes() as u64).sum()
     }
+}
 
-    /// Computes and stores the per-unit and per-OOB-record checksums —
-    /// the controller's ECC engine sealing the page on its way to the
-    /// die. The flash array calls this at program time; anything that
-    /// mutates the tags afterwards (bit-rot, torn tails, misdirected
-    /// stamps) leaves the sealed checksums stale and therefore
-    /// detectable.
-    pub fn seal(&mut self) {
-        self.unit_crcs.clear();
-        for unit in &self.units {
-            self.unit_crcs
-                .push(unit.as_ref().map_or(0, crate::integrity::unit_checksum));
-        }
-        self.oob_crcs.clear();
-        for entry in &self.oob {
-            self.oob_crcs.push(crate::integrity::oob_checksum(entry));
-        }
+/// A stored unit: its payload and the checksum sealed over it at program
+/// time, side by side, so one lookup both verifies and returns the unit.
+/// Padded slots hold no payload (and verify trivially). The pair is 64
+/// bytes, aligned so that it fills exactly one cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct SealedUnit {
+    payload: Option<UnitPayload>,
+    crc: u32,
+}
+
+impl SealedUnit {
+    fn seal(payload: Option<UnitPayload>) -> Self {
+        let crc = payload.as_ref().map_or(0, crate::integrity::unit_checksum);
+        SealedUnit { payload, crc }
     }
 
-    /// True once [`PageContent::seal`] has stamped checksums onto the
-    /// current tags.
-    pub fn is_sealed(&self) -> bool {
-        self.unit_crcs.len() == self.units.len() && self.oob_crcs.len() == self.oob.len()
+    fn intact(&self) -> bool {
+        self.payload
+            .as_ref()
+            .is_none_or(|p| crate::integrity::unit_checksum(p) == self.crc)
     }
 
-    /// Verifies the sealed checksum of unit `i`. Padded slots and
-    /// unsealed pages verify trivially (there is nothing to protect).
-    pub fn unit_intact(&self, i: usize) -> bool {
-        match (self.units.get(i), self.unit_crcs.get(i)) {
-            (Some(Some(unit)), Some(&crc)) => crate::integrity::unit_checksum(unit) == crc,
-            _ => true,
-        }
+    /// True when the slot holds a payload (not padding).
+    pub(crate) fn is_occupied(&self) -> bool {
+        self.payload.is_some()
     }
 
-    /// Verifies the sealed checksum of OOB record `i` (trivially true
-    /// when absent or unsealed).
-    pub fn oob_intact(&self, i: usize) -> bool {
-        match (self.oob.get(i), self.oob_crcs.get(i)) {
-            (Some(entry), Some(&crc)) => crate::integrity::oob_checksum(entry) == crc,
-            _ => true,
-        }
-    }
-
-    /// True when every occupied unit and OOB record verifies.
-    pub fn intact(&self) -> bool {
-        (0..self.units.len()).all(|i| self.unit_intact(i))
-            && (0..self.oob.len()).all(|i| self.oob_intact(i))
-    }
-
-    /// Clears sealed checksums along with content (spare-shell reuse).
-    pub(crate) fn clear_for_reuse(&mut self) {
-        self.oob.clear();
-        self.unit_crcs.clear();
-        self.oob_crcs.clear();
-    }
-
-    /// Flips tag bits of unit `i` *without* resealing — the corruption
-    /// injectors' primitive. XORs every fragment's version (and key)
-    /// with the nonzero `mask`, so the canonical encoding changes and
-    /// the stale checksum no longer matches.
-    pub(crate) fn flip_unit_bits(&mut self, i: usize, mask: u64) {
-        if let Some(Some(unit)) = self.units.get_mut(i) {
+    /// Flips tag bits *without* resealing — the corruption injectors'
+    /// primitive. XORs every fragment's version (and key) with the
+    /// nonzero `mask`, so the canonical encoding changes and the stale
+    /// checksum no longer matches. Padded slots are left alone.
+    pub(crate) fn flip_bits(&mut self, mask: u64) {
+        if let Some(unit) = &mut self.payload {
             for f in unit.fragments.as_mut_slice() {
                 f.version ^= mask;
                 f.key ^= mask;
             }
         }
     }
+}
 
-    /// Flips tag bits of OOB record `i` without resealing (corrupts the
-    /// recovery-critical `lpn`/`sequence` stamps).
-    pub(crate) fn flip_oob_bits(&mut self, i: usize, mask: u64) {
-        if let Some(entry) = self.oob.get_mut(i) {
-            entry.lpn ^= mask;
-            entry.sequence ^= mask.rotate_left(17);
+/// A stored OOB record beside its sealed checksum.
+#[derive(Debug)]
+pub(crate) struct SealedOob {
+    entry: OobEntry,
+    crc: u32,
+}
+
+impl SealedOob {
+    fn seal(entry: OobEntry) -> Self {
+        SealedOob {
+            entry,
+            crc: crate::integrity::oob_checksum(&entry),
         }
+    }
+
+    fn intact(&self) -> bool {
+        crate::integrity::oob_checksum(&self.entry) == self.crc
+    }
+
+    /// Flips tag bits without resealing (corrupts the recovery-critical
+    /// `lpn`/`sequence` stamps).
+    pub(crate) fn flip_bits(&mut self, mask: u64) {
+        self.entry.lpn ^= mask;
+        self.entry.sequence ^= mask.rotate_left(17);
+    }
+}
+
+/// The sealed content of one block's programmed pages, page after page.
+///
+/// Storage is reserved on the block's first program (sized for a full
+/// block of pages shaped like that first one) and cleared in place on
+/// erase, so later cycles reuse it: programming into a block that has
+/// been opened before allocates nothing. The number of stored pages *is*
+/// the block's write cursor.
+#[derive(Debug, Default)]
+pub(crate) struct BlockContent {
+    units: Vec<SealedUnit>,
+    oob: Vec<SealedOob>,
+    /// Cumulative `(units, oob)` end offsets, one per stored page.
+    ends: Vec<(u32, u32)>,
+}
+
+impl BlockContent {
+    /// Number of programmed pages (the write cursor).
+    pub(crate) fn pages(&self) -> u32 {
+        self.ends.len() as u32
+    }
+
+    /// Seals `page` and appends it as the next page, moving its payloads
+    /// out (its unit slots are left `None`, its OOB list empty).
+    pub(crate) fn push(&mut self, page: &mut PageContent, pages_per_block: u32) {
+        if self.ends.capacity() == 0 {
+            let ppb = pages_per_block as usize;
+            self.ends.reserve_exact(ppb);
+            self.units.reserve_exact(ppb * page.units.len());
+            self.oob
+                .reserve_exact(ppb * page.units.len().max(page.oob.len()));
+        }
+        self.units
+            .extend(page.units.iter_mut().map(|u| SealedUnit::seal(u.take())));
+        self.oob.extend(page.oob.drain(..).map(SealedOob::seal));
+        self.ends
+            .push((self.units.len() as u32, self.oob.len() as u32));
+    }
+
+    /// Unit and OOB ranges of stored page `page`.
+    fn span(&self, page: u32) -> Option<(std::ops::Range<usize>, std::ops::Range<usize>)> {
+        let i = page as usize;
+        let &(u_end, o_end) = self.ends.get(i)?;
+        let (u_start, o_start) = match i.checked_sub(1) {
+            Some(prev) => *self.ends.get(prev)?,
+            None => (0, 0),
+        };
+        Some((
+            u_start as usize..u_end as usize,
+            o_start as usize..o_end as usize,
+        ))
+    }
+
+    /// Read view of stored page `page`, or `None` past the cursor.
+    pub(crate) fn page(&self, page: u32) -> Option<PageView<'_>> {
+        let (u, o) = self.span(page)?;
+        Some(PageView {
+            units: self.units.get(u)?,
+            oob: self.oob.get(o)?,
+        })
+    }
+
+    /// Mutable units and OOB records of stored page `page` (injectors).
+    pub(crate) fn page_mut(&mut self, page: u32) -> Option<(&mut [SealedUnit], &mut [SealedOob])> {
+        let (u, o) = self.span(page)?;
+        Some((self.units.get_mut(u)?, self.oob.get_mut(o)?))
+    }
+
+    /// Flips tag bits of stored page `page` without resealing: every unit
+    /// from `first_unit` on, and every OOB record (written last on real
+    /// NAND) — what a torn or misdirected program leaves behind.
+    pub(crate) fn scramble(&mut self, page: u32, first_unit: usize, mask: u64) {
+        if let Some((units, oob)) = self.page_mut(page) {
+            let tail = units.iter_mut().skip(first_unit);
+            tail.for_each(|u| u.flip_bits(mask));
+            oob.iter_mut().for_each(|o| o.flip_bits(mask));
+        }
+    }
+
+    /// Forgets every page, keeping the storage for the next cycle.
+    pub(crate) fn clear(&mut self) {
+        self.units.clear();
+        self.oob.clear();
+        self.ends.clear();
+    }
+}
+
+/// The checksum sealed over a stored unit no longer matches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChecksumMismatch;
+
+/// A borrowed view of one programmed page, as
+/// [`FlashArray::read`](crate::FlashArray::read) returns it. Each unit
+/// and OOB record sits beside its sealed checksum, so verifying and
+/// fetching a unit is one lookup.
+#[derive(Debug, Clone, Copy)]
+pub struct PageView<'a> {
+    units: &'a [SealedUnit],
+    oob: &'a [SealedOob],
+}
+
+impl<'a> PageView<'a> {
+    /// Number of unit slots (occupied or padded).
+    pub fn unit_slots(&self) -> usize {
+        self.units.len()
+    }
+
+    /// Payload of unit `i` (`None` when padded or out of range), without
+    /// verification.
+    pub fn unit(&self, i: usize) -> Option<&'a UnitPayload> {
+        self.units.get(i).and_then(|s| s.payload.as_ref())
+    }
+
+    /// Verifies the sealed checksum of unit `i`. Padded and absent slots
+    /// verify trivially (there is nothing to protect).
+    pub fn unit_intact(&self, i: usize) -> bool {
+        self.units.get(i).is_none_or(SealedUnit::intact)
+    }
+
+    /// One verified lookup of unit `i`: its payload (`None` when padded
+    /// or absent) when `verify` is off or the checksum matches.
+    ///
+    /// # Errors
+    ///
+    /// [`ChecksumMismatch`] when `verify` is on and the stored unit no
+    /// longer matches its sealed checksum.
+    pub fn checked_unit(
+        &self,
+        i: usize,
+        verify: bool,
+    ) -> Result<Option<&'a UnitPayload>, ChecksumMismatch> {
+        match self.units.get(i) {
+            Some(s) if verify && !s.intact() => Err(ChecksumMismatch),
+            Some(s) => Ok(s.payload.as_ref()),
+            None => Ok(None),
+        }
+    }
+
+    /// Number of OOB records.
+    pub fn oob_len(&self) -> usize {
+        self.oob.len()
+    }
+
+    /// OOB record `i`, without verification.
+    pub fn oob(&self, i: usize) -> Option<&'a OobEntry> {
+        self.oob.get(i).map(|s| &s.entry)
+    }
+
+    /// Verifies the sealed checksum of OOB record `i` (trivially true
+    /// when absent).
+    pub fn oob_intact(&self, i: usize) -> bool {
+        self.oob.get(i).is_none_or(SealedOob::intact)
+    }
+
+    /// The OOB records in program order, without verification.
+    pub fn oob_records(&self) -> impl Iterator<Item = &'a OobEntry> + 'a {
+        self.oob.iter().map(|s| &s.entry)
+    }
+
+    /// Number of occupied units.
+    pub fn occupied_units(&self) -> usize {
+        self.units.iter().filter(|s| s.is_occupied()).count()
+    }
+
+    /// True when every occupied unit and OOB record verifies.
+    pub fn intact(&self) -> bool {
+        self.units.iter().all(SealedUnit::intact) && self.oob.iter().all(SealedOob::intact)
     }
 }
 
@@ -428,7 +588,7 @@ mod tests {
         assert_eq!(UnitPayload::default().bytes(), 0);
     }
 
-    fn sealed_page() -> PageContent {
+    fn sample_page() -> PageContent {
         let mut p = PageContent::empty(4);
         p.units[0] = Some(UnitPayload::single(1, 7, 512));
         p.units[2] = Some(UnitPayload::single(2, 3, 128));
@@ -442,54 +602,104 @@ mod tests {
             sequence: 6,
             kind: OobKind::Journal,
         });
-        p.seal();
         p
+    }
+
+    /// A block holding `sample_page` as page 0 and a one-unit page 1.
+    fn sealed_block() -> BlockContent {
+        let mut b = BlockContent::default();
+        let mut p = sample_page();
+        b.push(&mut p, 4);
+        assert!(p.units.iter().all(Option::is_none), "payloads moved out");
+        assert!(p.oob.is_empty());
+        assert_eq!(p.units.len(), 4, "slots kept for reuse");
+        p.units[1] = Some(UnitPayload::single(3, 1, 512));
+        b.push(&mut p, 4);
+        b
     }
 
     #[test]
     fn sealed_page_verifies() {
-        let p = sealed_page();
-        assert!(p.is_sealed());
-        assert!(p.intact());
+        let b = sealed_block();
+        assert_eq!(b.pages(), 2);
+        let v = b.page(0).unwrap();
+        assert!(v.intact());
+        assert_eq!(v.unit_slots(), 4);
+        assert_eq!(v.occupied_units(), 2);
         for i in 0..4 {
-            assert!(p.unit_intact(i), "unit {i}");
+            assert!(v.unit_intact(i), "unit {i}");
         }
-        assert!(p.oob_intact(0) && p.oob_intact(1));
-    }
-
-    #[test]
-    fn unsealed_page_verifies_trivially() {
-        let mut p = PageContent::empty(4);
-        p.units[0] = Some(UnitPayload::single(1, 1, 512));
-        assert!(!p.is_sealed());
-        assert!(p.intact());
+        assert!(v.oob_intact(0) && v.oob_intact(1));
+        assert_eq!(v.oob(1).unwrap().lpn, 11);
+        assert_eq!(v.unit(2).unwrap().fragments[0].key, 2);
+        assert_eq!(v.checked_unit(1, true), Ok(None), "padding");
+        let p1 = b.page(1).unwrap();
+        assert_eq!(p1.occupied_units(), 1);
+        assert_eq!(p1.oob_len(), 0);
+        assert!(b.page(2).is_none(), "past the cursor");
     }
 
     #[test]
     fn flipped_unit_bits_break_verification() {
-        let mut p = sealed_page();
-        p.flip_unit_bits(0, 1 << 13);
-        assert!(!p.unit_intact(0));
-        assert!(p.unit_intact(2), "other unit untouched");
-        assert!(p.oob_intact(0), "oob untouched");
-        assert!(!p.intact());
+        let mut b = sealed_block();
+        let (units, _) = b.page_mut(0).unwrap();
+        units[0].flip_bits(1 << 13);
+        let v = b.page(0).unwrap();
+        assert!(!v.unit_intact(0));
+        assert_eq!(v.checked_unit(0, true), Err(ChecksumMismatch));
+        assert!(
+            v.checked_unit(0, false).unwrap().is_some(),
+            "unverified read"
+        );
+        assert!(v.unit_intact(2), "other unit untouched");
+        assert!(v.oob_intact(0), "oob untouched");
+        assert!(!v.intact());
+        assert!(b.page(1).unwrap().intact(), "other page untouched");
     }
 
     #[test]
     fn flipped_oob_bits_break_verification() {
-        let mut p = sealed_page();
-        p.flip_oob_bits(1, 1);
-        assert!(p.unit_intact(0));
-        assert!(p.oob_intact(0));
-        assert!(!p.oob_intact(1));
+        let mut b = sealed_block();
+        let (_, oob) = b.page_mut(0).unwrap();
+        oob[1].flip_bits(1);
+        let v = b.page(0).unwrap();
+        assert!(v.unit_intact(0));
+        assert!(v.oob_intact(0));
+        assert!(!v.oob_intact(1));
+    }
+
+    #[test]
+    fn sealed_unit_fills_one_cache_line() {
+        assert_eq!(std::mem::size_of::<SealedUnit>(), 64);
+        assert_eq!(std::mem::align_of::<SealedUnit>(), 64);
+    }
+
+    #[test]
+    fn padded_slots_verify_trivially() {
+        let mut b = BlockContent::default();
+        b.push(&mut PageContent::empty(4), 4);
+        let v = b.page(0).unwrap();
+        assert!(v.intact());
+        assert_eq!(v.occupied_units(), 0);
+        assert!(
+            (0..6).all(|i| v.unit_intact(i) && v.oob_intact(i)),
+            "absent too"
+        );
+        assert_eq!(v.checked_unit(9, true), Ok(None));
     }
 
     #[test]
     fn resealing_after_mutation_restores_integrity() {
-        let mut p = sealed_page();
-        p.flip_unit_bits(0, 0xFF00);
-        assert!(!p.intact());
-        p.seal();
-        assert!(p.intact());
+        let mut b = sealed_block();
+        let cap = b.units.capacity();
+        b.page_mut(0).unwrap().0[0].flip_bits(0xFF00);
+        assert!(!b.page(0).unwrap().intact());
+        // Erase clears in place; the reused storage seals afresh.
+        b.clear();
+        assert_eq!(b.pages(), 0);
+        assert!(b.page(0).is_none());
+        b.push(&mut sample_page(), 4);
+        assert!(b.page(0).unwrap().intact());
+        assert_eq!(b.units.capacity(), cap, "storage reused, not reallocated");
     }
 }

@@ -12,7 +12,9 @@
 //!   parallelism and die contention emerge naturally;
 //! * stores page *content tags* ([`PageContent`]) plus OOB recovery
 //!   metadata ([`OobEntry`]) instead of raw bytes, which lets the test
-//!   suite verify end-to-end data consistency cheaply.
+//!   suite verify end-to-end data consistency cheaply. Each block keeps
+//!   its programmed pages' units and records sealed beside their CRCs,
+//!   read back through a borrowed [`PageView`].
 //!
 //! # Examples
 //!
@@ -23,7 +25,7 @@
 //! let mut flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
 //! let mut page = PageContent::empty(8);
 //! page.units[0] = Some(UnitPayload::single(/*key*/ 1, /*version*/ 1, /*bytes*/ 512));
-//! let window = flash.program(Ppn(0), page, SimTime::ZERO)?;
+//! let window = flash.program(Ppn(0), &mut page, SimTime::ZERO)?;
 //! assert_eq!(flash.read(Ppn(0)).unwrap().occupied_units(), 1);
 //! assert!(window.finish > window.start);
 //! # Ok::<(), checkin_flash::FlashError>(())
@@ -42,7 +44,9 @@ mod phase;
 mod timing;
 
 pub use array::FlashArray;
-pub use content::{FragVec, Fragment, OobEntry, OobKind, PageContent, UnitPayload};
+pub use content::{
+    ChecksumMismatch, FragVec, Fragment, OobEntry, OobKind, PageContent, PageView, UnitPayload,
+};
 pub use error::{ErrorClass, FlashError};
 pub use fault::{FaultConfig, FaultOp, FaultPhase, FaultPlan};
 pub use geometry::{BlockId, FlashGeometry, Ppa, Ppn};

@@ -73,7 +73,7 @@ fn nand_rules_hold_under_random_ops() {
                     let p = page as u32 % ppb;
                     let ppn = g.ppn_in_block(BlockId(b), p);
                     tag += 1;
-                    let result = flash.program(ppn, content(tag), SimTime::ZERO);
+                    let result = flash.program(ppn, &mut content(tag), SimTime::ZERO);
                     if p == programmed[b as usize] {
                         assert!(result.is_ok(), "in-order program must succeed");
                         programmed[b as usize] += 1;
@@ -128,7 +128,7 @@ fn timing_is_monotone_per_die() {
             }
             cursor[b as usize] += 1;
             let ppn = g.ppn_in_block(BlockId(b), p);
-            let w = flash.program(ppn, content(1), SimTime::ZERO).unwrap();
+            let w = flash.program(ppn, &mut content(1), SimTime::ZERO).unwrap();
             let die = g.die_of_block(BlockId(b));
             if let Some(prev) = last_finish_per_die.insert(die, w.finish) {
                 assert!(w.finish > prev, "die timeline must advance");
@@ -148,7 +148,11 @@ fn full_device_program_cycle() {
         for b in 0..g.total_blocks() {
             for p in 0..g.pages_per_block {
                 flash
-                    .program(g.ppn_in_block(BlockId(b), p), content(cycle), SimTime::ZERO)
+                    .program(
+                        g.ppn_in_block(BlockId(b), p),
+                        &mut content(cycle),
+                        SimTime::ZERO,
+                    )
                     .unwrap();
             }
         }

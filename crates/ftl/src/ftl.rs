@@ -16,8 +16,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use checkin_flash::{
-    BlockId, ErrorClass, FaultPhase, FlashArray, FlashError, Fragment, OobEntry, OobKind, OpPhase,
-    PageContent, Ppn, UnitPayload,
+    BlockId, ChecksumMismatch, ErrorClass, FaultPhase, FlashArray, FlashError, Fragment, OobEntry,
+    OobKind, OpPhase, PageContent, Ppn, UnitPayload,
 };
 use checkin_sim::{CounterSet, SimTime, TraceEvent, TraceLayer, Tracer, Window};
 
@@ -193,6 +193,11 @@ pub struct Ftl {
     scratch_batches: Vec<Vec<BufSlot>>,
     scratch_placements: Vec<Vec<(BufSlot, u32)>>,
     scratch_valid: Vec<(u32, UnitPayload, Lpn)>,
+    /// The page being assembled for program. The flash array moves the
+    /// payloads out and leaves the slots for the next page, so page-out
+    /// reuses one buffer. (Block allocation, the only re-entrant step,
+    /// runs before the page is filled.)
+    scratch_page: PageContent,
     /// Per-write-point active block and next page cursor.
     actives: Vec<Option<(BlockId, u32)>>,
     /// Buffered units in arrival order. Updated units are re-queued at the
@@ -264,6 +269,7 @@ impl Ftl {
             scratch_batches: Vec::new(),
             scratch_placements: Vec::new(),
             scratch_valid: Vec::new(),
+            scratch_page: PageContent::default(),
             actives: vec![None; config.write_points as usize],
             pending: VecDeque::new(),
             next_wp: 0,
@@ -467,15 +473,13 @@ impl Ftl {
         FtlError::Integrity(IntegrityError::CorruptUnit(lpn))
     }
 
-    /// True when `pun`'s stored unit fails checksum verification (only
-    /// ever called with verification enabled and the page readable).
-    /// Used on the background salvage paths; the foreground read/write
-    /// paths fold this check into their single page borrow instead.
-    fn unit_is_corrupt(&self, pun: Pun) -> bool {
-        self.flash
-            .read(pun.page(self.upp))
-            .map(|pc| !pc.unit_intact(pun.offset(self.upp) as usize))
-            .unwrap_or(false)
+    /// One verified lookup of `pun`'s stored unit: its payload (`None`
+    /// when the page or slot is empty), or [`ChecksumMismatch`] when
+    /// verification is on and the unit no longer matches its checksum.
+    fn checked_unit(&self, pun: Pun) -> Result<Option<&UnitPayload>, ChecksumMismatch> {
+        self.flash.read(pun.page(self.upp)).map_or(Ok(None), |v| {
+            v.checked_unit(pun.offset(self.upp) as usize, self.config.verify_checksums)
+        })
     }
 
     /// Clears the poisoned mark of `lpn` — its loss record — once a fresh
@@ -562,18 +566,12 @@ impl Ftl {
                     self.counters.incr("ftl.rmw_reads");
                     let win = self.read_with_retry(pun.page(self.upp), at)?;
                     done = done.max(win.finish);
-                    // One borrow of the page serves both the checksum
-                    // check and the old-payload fetch.
-                    let offset = pun.offset(self.upp) as usize;
-                    let verify = self.config.verify_checksums;
-                    let (corrupt, old) = match self.flash.read(pun.page(self.upp)) {
-                        Some(pc) if verify && !pc.unit_intact(offset) => (true, None),
-                        Some(pc) => (false, pc.units.get(offset).and_then(|u| u.clone())),
-                        None => (false, None),
+                    // One verified lookup serves both the checksum check
+                    // and the old-payload fetch.
+                    let old = match self.checked_unit(pun) {
+                        Ok(old) => old.cloned(),
+                        Err(ChecksumMismatch) => return Err(self.quarantine_and_report(w.lpn, pun)),
                     };
-                    if corrupt {
-                        return Err(self.quarantine_and_report(w.lpn, pun));
-                    }
                     merge_payload(&old.unwrap_or_default(), &w.payload)
                 }
             }
@@ -616,19 +614,12 @@ impl Ftl {
                     return Err(FtlError::Integrity(IntegrityError::CorruptUnit(lpn)));
                 }
                 let win = self.read_with_retry(pun.page(self.upp), at)?;
-                // One borrow of the page serves both the checksum check
-                // and the payload fetch — this is the foreground path.
-                let offset = pun.offset(self.upp) as usize;
-                let verify = self.config.verify_checksums;
-                let (corrupt, payload) = match self.flash.read(pun.page(self.upp)) {
-                    Some(pc) if verify && !pc.unit_intact(offset) => (true, None),
-                    Some(pc) => (false, pc.units.get(offset).and_then(|u| u.clone())),
-                    None => (false, None),
-                };
-                if corrupt {
+                // One verified lookup serves both the checksum check and
+                // the payload fetch — this is the foreground path.
+                let Ok(payload) = self.checked_unit(pun).map(|p| p.cloned()) else {
                     let _ = self.note_corrupt(pun);
                     return Err(FtlError::Integrity(IntegrityError::CorruptUnit(lpn)));
-                }
+                };
                 debug_assert!(
                     payload.is_some(),
                     "mapped unit {lpn} -> {pun} has no flash content (erased while referenced?)"
@@ -672,25 +663,16 @@ impl Ftl {
                     return Err(FtlError::Integrity(IntegrityError::CorruptUnit(lpn)));
                 }
                 let win = self.read_with_retry(pun.page(self.upp), at)?;
-                // Single page borrow: verify and copy fragments out in
-                // one pass — this is the allocation-free read hot loop.
-                let offset = pun.offset(self.upp) as usize;
-                let verify = self.config.verify_checksums;
-                let mut corrupt = false;
-                let mut found = false;
-                if let Some(pc) = self.flash.read(pun.page(self.upp)) {
-                    if verify && !pc.unit_intact(offset) {
-                        corrupt = true;
-                    } else if let Some(payload) = pc.units.get(offset).and_then(|u| u.as_ref()) {
-                        found = true;
-                        push_matching(payload, key, out);
-                    }
-                }
-                if corrupt {
+                // One verified lookup, fragments copied straight out —
+                // this is the allocation-free read hot loop.
+                let Ok(payload) = self.checked_unit(pun) else {
                     return Err(self.quarantine_and_report(lpn, pun));
+                };
+                if let Some(payload) = payload {
+                    push_matching(payload, key, out);
                 }
                 debug_assert!(
-                    found,
+                    payload.is_some(),
                     "mapped unit {lpn} -> {pun} has no flash content (erased while referenced?)"
                 );
                 Ok(win.finish)
@@ -872,7 +854,10 @@ impl Ftl {
         };
         let ppn = self.flash.geometry().ppn_in_block(block, page);
 
-        let mut content = self.flash.spare_page(self.upp as usize);
+        let mut content = std::mem::take(&mut self.scratch_page);
+        content.units.clear();
+        content.units.resize(self.upp as usize, None);
+        content.oob.clear();
         let mut placements = self.scratch_placements.pop().unwrap_or_default();
         placements.clear();
         // Under fault injection the slots keep their data until the program
@@ -897,7 +882,9 @@ impl Ftl {
             placements.push((slot, offset as u32));
         }
 
-        let win = match self.program_with_retry(ppn, content, at) {
+        let programmed = self.program_with_retry(ppn, &mut content, at);
+        self.scratch_page = content;
+        let win = match programmed {
             Ok(w) => w,
             Err(e) => {
                 if faulting {
@@ -1157,7 +1144,6 @@ impl Ftl {
         at: SimTime,
     ) -> Result<SimTime, FtlError> {
         let g = *self.flash.geometry();
-        let verify = self.config.verify_checksums;
         let mut done = at;
         let mut corrupt: Vec<Pun> = Vec::new();
         for page in 0..g.pages_per_block {
@@ -1175,16 +1161,12 @@ impl Ftl {
                     // its checksum, which would launder rot into a copy
                     // that verifies. A corrupt referenced unit is about
                     // to lose its only copy — poison it instead.
-                    if verify && self.unit_is_corrupt(pun) {
-                        corrupt.push(pun);
-                        continue;
+                    match self.checked_unit(pun) {
+                        Ok(payload) => {
+                            valid.push((offset, payload.cloned().unwrap_or_default(), primary))
+                        }
+                        Err(ChecksumMismatch) => corrupt.push(pun),
                     }
-                    let payload = self
-                        .flash
-                        .read(ppn)
-                        .and_then(|pc| pc.units[offset as usize].clone())
-                        .unwrap_or_default();
-                    valid.push((offset, payload, primary));
                 }
             }
             for &pun in &corrupt {
@@ -1276,42 +1258,25 @@ impl Ftl {
     }
 
     /// Programs a page with the program-class bounded-backoff policy
-    /// ([`FtlConfig::retry_program`]). The content is cloned per attempt
-    /// only while a retry is still possible, and the whole wrapper
-    /// collapses to a plain program when fault injection is off, so the
-    /// hot path stays allocation-free.
+    /// ([`FtlConfig::retry_program`]). A failed program leaves `content`
+    /// untouched, so every attempt reuses the same buffer.
     fn program_with_retry(
         &mut self,
         ppn: Ppn,
-        content: PageContent,
+        content: &mut PageContent,
         at: SimTime,
     ) -> Result<Window, FlashError> {
         let policy = self.config.retry_program;
-        if policy.limit <= 1 || !self.flash.faults_armed() {
-            return match self.flash.program(ppn, content, at) {
-                Err(e) if e.classification() == ErrorClass::Transient => {
-                    self.counters.incr("ftl.retry_exhausted_program");
-                    Err(e)
-                }
-                other => other,
-            };
-        }
         let mut t = at;
         let mut attempt = 0u32;
         loop {
-            if attempt + 1 >= policy.limit {
-                // Final attempt: the buffer moves instead of cloning.
-                return match self.flash.program(ppn, content, t) {
-                    Err(e) if e.classification() == ErrorClass::Transient => {
-                        self.counters.incr("ftl.retry_exhausted_program");
-                        Err(e)
-                    }
-                    other => other,
-                };
-            }
-            match self.flash.program(ppn, content.clone(), t) {
+            match self.flash.program(ppn, content, t) {
                 Ok(w) => return Ok(w),
                 Err(e) if e.classification() == ErrorClass::Transient => {
+                    if attempt + 1 >= policy.limit {
+                        self.counters.incr("ftl.retry_exhausted_program");
+                        return Err(e);
+                    }
                     attempt += 1;
                     self.counters.incr("ftl.media_retries");
                     t += self.flash.timing().t_program
@@ -1352,7 +1317,6 @@ impl Ftl {
     /// block is marked retired and counted in `ftl.blocks_retired`.
     fn retire_block(&mut self, block: BlockId) {
         let g = *self.flash.geometry();
-        let verify = self.config.verify_checksums;
         let mut corrupt: Vec<Pun> = Vec::new();
         for page in 0..self.flash.write_cursor(block) {
             let ppn = g.ppn_in_block(block, page);
@@ -1365,16 +1329,12 @@ impl Ftl {
                 if let Some(&primary) = refs.first() {
                     // Same rule as GC: never salvage (and re-seal) a copy
                     // that no longer verifies.
-                    if verify && self.unit_is_corrupt(pun) {
-                        corrupt.push(pun);
-                        continue;
+                    match self.checked_unit(pun) {
+                        Ok(payload) => {
+                            valid.push((offset, payload.cloned().unwrap_or_default(), primary))
+                        }
+                        Err(ChecksumMismatch) => corrupt.push(pun),
                     }
-                    let payload = self
-                        .flash
-                        .read(ppn)
-                        .and_then(|pc| pc.units[offset as usize].clone())
-                        .unwrap_or_default();
-                    valid.push((offset, payload, primary));
                 }
             }
             for &pun in &corrupt {
@@ -1604,7 +1564,7 @@ impl Ftl {
             let Some(content) = self.flash.read(ppn) else {
                 continue;
             };
-            for (offset, oob) in content.oob.iter().enumerate() {
+            for (offset, oob) in content.oob_records().enumerate() {
                 // A record only enters recovery when its OOB metadata AND
                 // the data unit it describes both verify: a torn tail or
                 // rotted record must neither replay (it would resurrect
@@ -2304,7 +2264,8 @@ mod stream_separation_tests {
                 continue;
             };
             programmed += 1;
-            let mut streams: Vec<usize> = pc.oob.iter().map(|o| Ftl::stream_of(o.kind)).collect();
+            let mut streams: Vec<usize> =
+                pc.oob_records().map(|o| Ftl::stream_of(o.kind)).collect();
             streams.dedup();
             if streams.len() > 1 {
                 mixed += 1;

@@ -92,7 +92,7 @@ impl crate::Ssd {
                 continue;
             };
             snapshot.pages_scanned += 1;
-            for (offset, oob) in content.oob.iter().enumerate() {
+            for (offset, oob) in content.oob_records().enumerate() {
                 // Same acceptance rule as the FTL rebuild: a record only
                 // counts when both its OOB metadata and the data unit it
                 // describes still verify — a corrupt record must never

@@ -15,6 +15,13 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== perfbench tests"
+# The repository benchmark is a package of its own whose traced driver
+# calls the crates' public APIs (FlashArray::new, Ftl, Ssd, KvEngine)
+# directly: an API break must fail here, not at the next benchmark run.
+# Same target directory as perfbench/run.py, so the build is shared.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== perfsuite --quick"
 cargo run --release -p checkin-bench --bin perfsuite -- --quick --out target/BENCH_perf.quick.json
 
