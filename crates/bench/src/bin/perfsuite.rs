@@ -7,20 +7,15 @@
 //!    `HashMap`-backed baseline replicating the pre-refactor layout (forward
 //!    `HashMap<Lpn, Location>` plus reverse `HashMap<_, Vec<Lpn>>`). Gated:
 //!    the dense lookup must be at least 2x faster.
-//! 2. **Event queue** — the hierarchical timing-wheel `EventQueue` against
-//!    a reference `BinaryHeap` under the same closed-loop pop+schedule
-//!    pattern, at the full-run population (33) and at a command-queue-storm
-//!    population (64k). Gated at 64k, informational at 33 (at tiny
-//!    populations the two are equivalent by design).
-//! 3. **Journal append** — sector-aligned appends through `JournalManager`
+//! 2. **Journal append** — sector-aligned appends through `JournalManager`
 //!    with the double-buffered zone swap on overflow.
-//! 4. **Checkpoint remap vs copy** — a 64-entry in-storage checkpoint
+//! 3. **Checkpoint remap vs copy** — a 64-entry in-storage checkpoint
 //!    command against a fully modelled SSD on the paper's 512 B mapping
 //!    unit, where entries genuinely remap, against the same command in
 //!    copy mode (the ISC-A/B data path). Gated: remap must beat copy.
-//! 5. **Trace emit** — the disabled-tracer hot-path cost (one branch)
+//! 4. **Trace emit** — the disabled-tracer hot-path cost (one branch)
 //!    against the ring-buffered sink, guarding the zero-overhead claim.
-//! 6. **Full system run** — 50k Check-In queries (10k under `--quick`) at
+//! 5. **Full system run** — 50k Check-In queries (10k under `--quick`) at
 //!    admission batch 1 (the historical client model) and batch 16
 //!    (`system/batched_admission_*`). The query loop is timed separately
 //!    from device construction and record load, and both batch sizes are
@@ -31,7 +26,7 @@
 //!    checks, gated at a 10% ceiling (`checksum_verification_cost`), and
 //!    with victim selection forced to greedy to price the gclab-elected
 //!    default GC policy (`default_gc_policy_vs_greedy`, floor 0.90).
-//! 7. **Parallel sweep** — a 15-configuration strategy×seed batch, serial
+//! 6. **Parallel sweep** — a 15-configuration strategy×seed batch, serial
 //!    vs `run_configs` work-stealing workers. Gated only on multi-core
 //!    hosts (a single-core container cannot overlap CPU-bound runs).
 //!
@@ -46,7 +41,7 @@ use checkin_bench::harness::{bench, compare, BenchOpts, BenchResult, Comparison}
 use checkin_core::{default_jobs, run_configs, JournalManager, Layout, Strategy, SystemConfig};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind, UnitPayload};
 use checkin_ftl::{BufSlot, Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, UnitWrite};
-use checkin_sim::{EventQueue, SimDuration, SimRng, SimTime, TraceEvent, TraceLayer, Tracer};
+use checkin_sim::{SimRng, SimTime, TraceEvent, TraceLayer, Tracer};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 
 /// Mapped LPNs in the L2P benches — the paper-default device has ~400k
@@ -55,9 +50,6 @@ const L2P_ENTRIES: u64 = 400_000;
 
 /// Required dense-vs-HashMap lookup speedup (the acceptance bar).
 const REQUIRED_L2P_SPEEDUP: f64 = 2.0;
-
-/// Required timing-wheel-vs-BinaryHeap speedup at the 64k population.
-const REQUIRED_QUEUE_SPEEDUP: f64 = 1.3;
 
 /// Required remap-vs-copy speedup for the 64-entry checkpoint command —
 /// the device-side advantage the paper's Check-In scheme rests on.
@@ -226,65 +218,6 @@ fn bench_l2p(
     results.extend([hashed_lookup, dense_lookup, hashed_remap, dense_remap]);
     comparisons.extend([lookup_cmp, remap_cmp]);
     speedup
-}
-
-/// Closed-loop pop+schedule A/B: the timing-wheel `EventQueue` against a
-/// reference `BinaryHeap` with identical (time, seq) FIFO semantics and
-/// an identical access pattern. Returns the 64k-population speedup (the
-/// gated one).
-fn bench_event_queue(
-    opts: BenchOpts,
-    results: &mut Vec<BenchResult>,
-    comparisons: &mut Vec<Comparison>,
-) -> f64 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    section("Event queue: timing wheel vs BinaryHeap reference");
-    let mut gated = f64::NAN;
-    for n in [33u64, 65_536] {
-        // Inter-event gap scales with population so the horizon stays
-        // realistic for both closed loops.
-        let gap = 7_800u64;
-        let mut h: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::with_capacity(n as usize);
-        let mut rng = SimRng::seed_from(9);
-        let mut seq = 0u64;
-        for i in 0..n {
-            h.push(Reverse((1 + i * gap, seq, i as u32)));
-            seq += 1;
-        }
-        let label = if n == 33 { "33" } else { "64k" };
-        let heap = bench(&format!("queue/pop_schedule_binheap_{label}"), opts, || {
-            let Reverse((t, _, e)) = h.pop().unwrap();
-            h.push(Reverse((t + n * gap + rng.gen_range(5_000), seq, e)));
-            seq += 1;
-            e
-        });
-
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(n as usize);
-        let mut rng = SimRng::seed_from(9);
-        for i in 0..n {
-            q.schedule(SimTime::from_nanos(1 + i * gap), i as u32);
-        }
-        let wheel = bench(
-            &format!("queue/pop_schedule_calendar_{label}"),
-            opts,
-            || {
-                let (t, e) = q.pop().unwrap();
-                q.schedule(
-                    t + SimDuration::from_nanos(n * gap + rng.gen_range(5_000)),
-                    e,
-                );
-                e
-            },
-        );
-        let cmp = compare(&format!("calendar_vs_binaryheap_{label}"), &heap, &wheel);
-        if n == 65_536 {
-            gated = cmp.speedup;
-        }
-        results.extend([heap, wheel]);
-        comparisons.push(cmp);
-    }
-    gated
 }
 
 fn bench_journal_append(opts: BenchOpts, results: &mut Vec<BenchResult>) {
@@ -779,7 +712,6 @@ fn main() {
     let mut comparisons = Vec::new();
 
     let l2p_speedup = bench_l2p(opts, &mut results, &mut comparisons);
-    let queue_speedup = bench_event_queue(opts, &mut results, &mut comparisons);
     bench_journal_append(opts, &mut results);
     bench_ftl_write(opts, &mut results);
     let remap_speedup = bench_checkpoint(opts, &mut results, &mut comparisons);
@@ -797,18 +729,6 @@ fn main() {
         "dense L2P lookup vs HashMap baseline",
         l2p_speedup,
         REQUIRED_L2P_SPEEDUP,
-    );
-    gate(
-        &mut failures,
-        "timing-wheel event queue vs BinaryHeap at 64k",
-        queue_speedup,
-        if quick {
-            // Quick batches are short enough for one scheduler hiccup to
-            // dominate; keep a floor, but a forgiving one.
-            REQUIRED_QUEUE_SPEEDUP * 0.8
-        } else {
-            REQUIRED_QUEUE_SPEEDUP
-        },
     );
     gate(
         &mut failures,

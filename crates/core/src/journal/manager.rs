@@ -153,11 +153,6 @@ impl JournalManager {
             .div_ceil(self.layout.unit_sectors())
     }
 
-    /// True when sector-aligned journaling (Algorithm 2) is active.
-    pub fn is_sector_aligned(&self) -> bool {
-        self.options.sector_aligned
-    }
-
     /// The journaling options in effect.
     pub fn options(&self) -> &JournalOptions {
         &self.options

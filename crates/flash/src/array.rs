@@ -660,13 +660,6 @@ impl FlashArray {
         &self.counters
     }
 
-    /// Earliest instant at which the die owning `block` is free — used by
-    /// the deallocator to find idle windows for background GC.
-    pub fn die_available_at(&self, block: BlockId) -> SimTime {
-        let die = self.geometry.die_of_block(block) as usize;
-        self.dies[die].available_at()
-    }
-
     /// Total busy time across all dies (for utilization reports).
     pub fn die_busy_time(&self) -> checkin_sim::SimDuration {
         self.dies.iter().map(Resource::busy_time).sum()

@@ -151,11 +151,6 @@ impl FlashGeometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// Bytes in one block.
-    pub fn block_bytes(&self) -> u64 {
-        self.pages_per_block as u64 * self.page_bytes as u64
-    }
-
     /// Maps a block id to its structural position. Blocks are striped:
     /// consecutive ids land on consecutive channels, then dies, then
     /// planes, then advance within the plane.

@@ -63,10 +63,6 @@ pub struct FtlConfig {
     pub gc_threshold_blocks: u32,
     /// GC victim-selection policy (see [`VictimPolicy`]).
     pub victim_policy: VictimPolicy,
-    /// Route journal, data, and metadata/GC traffic to distinct write
-    /// points (hot/cold stream separation) using the page classes the
-    /// write path already tags. Off: all streams share one round-robin.
-    pub stream_separation: bool,
     /// Blocks withheld from usable headroom on top of the GC thresholds
     /// (software over-provisioning). More OP triggers GC earlier, which
     /// trades visible capacity for lower per-round migration cost.
@@ -181,7 +177,6 @@ impl Default for FtlConfig {
             unit_bytes: 4096,
             gc_threshold_blocks: 8,
             victim_policy: VictimPolicy::Greedy,
-            stream_separation: false,
             overprovision_blocks: 0,
             gc_soft_threshold_blocks: 24,
             write_points: 8,
@@ -261,7 +256,6 @@ mod tests {
         assert!(bad.validate(4096, 1024).is_err());
         assert!(good.verify_checksums, "verification is on by default");
         assert_eq!(good.victim_policy, VictimPolicy::Greedy);
-        assert!(!good.stream_separation);
         assert_eq!(good.overprovision_blocks, 0);
     }
 }

@@ -28,10 +28,6 @@ use crate::map_cache::MapCacheModel;
 use crate::mapping::{MappingTable, Unlink};
 use crate::policy::VictimCandidate;
 
-/// Number of write streams hot/cold separation distinguishes: journal
-/// (hot, short-lived), data, and metadata/GC relocation (cold).
-const STREAMS: usize = 3;
-
 /// Why a garbage-collection round was started. Each invocation is
 /// counted under a per-trigger key and recorded in the trace, which is
 /// what makes GC cost attributable (foreground GC stalls host writes;
@@ -205,11 +201,6 @@ pub struct Ftl {
     /// writes (complete journal units, cold data) — those page out first.
     pending: VecDeque<BufSlot>,
     next_wp: usize,
-    /// Per-stream round-robin cursors over each stream's write-point
-    /// lanes (only advanced when stream separation is on).
-    stream_rr: [usize; STREAMS],
-    /// Scratch for the same-stream batch scan (indices into `pending`).
-    scratch_indices: Vec<usize>,
     free_blocks: VecDeque<BlockId>,
     block_kind: Vec<BlockKind>,
     valid_units: Vec<u32>,
@@ -273,8 +264,6 @@ impl Ftl {
             actives: vec![None; config.write_points as usize],
             pending: VecDeque::new(),
             next_wp: 0,
-            stream_rr: [0; STREAMS],
-            scratch_indices: Vec::new(),
             free_blocks: (0..total_blocks).map(BlockId).collect(),
             block_kind: vec![BlockKind::Free; total_blocks as usize],
             valid_units: vec![0; total_blocks as usize],
@@ -761,41 +750,6 @@ impl Ftl {
         Ok(done)
     }
 
-    /// Write stream of an OOB page class: journal traffic is the hottest
-    /// (short-lived, trimmed at checkpoint), data is warm, and FTL
-    /// metadata plus GC-relocated (survivor) units are the coldest.
-    fn stream_of(kind: OobKind) -> usize {
-        match kind {
-            OobKind::Journal => 0,
-            OobKind::Data => 1,
-            OobKind::Meta | OobKind::GcCopy => 2,
-        }
-    }
-
-    /// Stream of a pending buffer slot.
-    fn slot_stream(&self, slot: BufSlot) -> Result<usize, FtlError> {
-        self.slot_data(slot)
-            .map(|d| Self::stream_of(d.oob.kind))
-            .ok_or(FtlError::Inconsistent(
-                "pending queue references empty slot",
-            ))
-    }
-
-    /// Write point for a stream: with at least [`STREAMS`] write points
-    /// each stream round-robins over its own lane set `{s, s+3, ...}` so
-    /// hot and cold pages never share an active block; with fewer, the
-    /// streams fold onto what exists.
-    fn stream_write_point(&mut self, s: usize) -> usize {
-        let wpn = self.actives.len();
-        if wpn < STREAMS {
-            return s % wpn;
-        }
-        let lanes = (wpn - s).div_ceil(STREAMS);
-        let k = self.stream_rr[s] % lanes;
-        self.stream_rr[s] = (k + 1) % lanes;
-        s + STREAMS * k
-    }
-
     fn drain_one_page(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
         // Take the batch BEFORE allocating: block allocation may trigger
         // GC, which enqueues freshly migrated units. Those stay buffered
@@ -805,42 +759,10 @@ impl Ftl {
         }
         let mut taken = self.scratch_batches.pop().unwrap_or_default();
         taken.clear();
-        let wp = if self.config.stream_separation {
-            // The head slot picks the stream; the batch is the first
-            // page-worth of same-stream slots, in arrival order. Streams
-            // drain to disjoint write points, so journal churn never
-            // punches holes into blocks holding cold survivors.
-            let head = *self
-                .pending
-                .front()
-                .ok_or(FtlError::Inconsistent("pending queue emptied unexpectedly"))?;
-            let stream = self.slot_stream(head)?;
-            let mut indices = std::mem::take(&mut self.scratch_indices);
-            indices.clear();
-            for i in 0..self.pending.len() {
-                if indices.len() >= self.upp as usize {
-                    break;
-                }
-                if self.slot_stream(self.pending[i])? == stream {
-                    indices.push(i);
-                }
-            }
-            for (removed, &i) in indices.iter().enumerate() {
-                // Indices are ascending; each earlier removal shifts the
-                // remainder left by one.
-                if let Some(slot) = self.pending.remove(i - removed) {
-                    taken.push(slot);
-                }
-            }
-            self.scratch_indices = indices;
-            self.stream_write_point(stream)
-        } else {
-            let take_n = self.pending.len().min(self.upp as usize);
-            taken.extend(self.pending.drain(..take_n));
-            let wp = self.next_wp;
-            self.next_wp = (self.next_wp + 1) % self.actives.len();
-            wp
-        };
+        let take_n = self.pending.len().min(self.upp as usize);
+        taken.extend(self.pending.drain(..take_n));
+        let wp = self.next_wp;
+        self.next_wp = (self.next_wp + 1) % self.actives.len();
         let (block, page) = match self.alloc_page_slot(wp, at) {
             Ok(v) => v,
             Err(e) => {
@@ -1683,7 +1605,6 @@ impl Ftl {
             *a = None;
         }
         self.next_wp = 0;
-        self.stream_rr = [0; STREAMS];
         self.in_gc = false;
         self.pending.clear();
         let mut live: Vec<(u64, u64)> = self
@@ -2203,152 +2124,6 @@ mod buffer_overwrite_tests {
         assert_eq!(f.flash().counters().get("flash.program"), 0);
         let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
         assert_eq!(p.fragments[0].version, 8);
-        f.check_invariants().unwrap();
-    }
-}
-
-#[cfg(test)]
-mod stream_separation_tests {
-    use super::*;
-    use checkin_flash::{FlashGeometry, FlashTiming};
-
-    fn stream_ftl(separation: bool) -> Ftl {
-        let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
-        Ftl::new(
-            flash,
-            FtlConfig {
-                unit_bytes: 512,
-                write_points: 6,
-                gc_threshold_blocks: 4,
-                gc_soft_threshold_blocks: 8,
-                write_buffer_units: 16,
-                stream_separation: separation,
-                ..FtlConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
-    fn wk(f: &mut Ftl, lpn: u64, kind: OobKind) {
-        f.write(
-            UnitWrite {
-                lpn: Lpn(lpn),
-                payload: UnitPayload::single(lpn, 1, 512),
-                whole_unit: true,
-            },
-            kind,
-            SimTime::ZERO,
-        )
-        .unwrap();
-    }
-
-    /// With separation on, every programmed page holds units of exactly
-    /// one stream even when journal and data writes arrive interleaved.
-    #[test]
-    fn pages_hold_a_single_stream() {
-        let mut f = stream_ftl(true);
-        for i in 0..64u64 {
-            let kind = if i % 2 == 0 {
-                OobKind::Journal
-            } else {
-                OobKind::Data
-            };
-            wk(&mut f, i, kind);
-        }
-        f.flush(SimTime::ZERO).unwrap();
-        let total = f.flash().geometry().total_pages();
-        let mut mixed = 0;
-        let mut programmed = 0;
-        for raw in 0..total {
-            let Some(pc) = f.flash().read(Ppn(raw)) else {
-                continue;
-            };
-            programmed += 1;
-            let mut streams: Vec<usize> =
-                pc.oob_records().map(|o| Ftl::stream_of(o.kind)).collect();
-            streams.dedup();
-            if streams.len() > 1 {
-                mixed += 1;
-            }
-        }
-        assert!(programmed >= 8, "should have programmed several pages");
-        assert_eq!(mixed, 0, "{mixed} of {programmed} pages mix streams");
-        // All data still readable.
-        for i in 0..64u64 {
-            let (p, _) = f.read(Lpn(i), SimTime::ZERO).unwrap();
-            assert_eq!(p.fragments[0].key, i);
-        }
-        f.check_invariants().unwrap();
-    }
-
-    /// Separation must not lose or reorder logical contents relative to
-    /// the shared-write-point default.
-    #[test]
-    fn separation_preserves_logical_contents() {
-        for separation in [false, true] {
-            let mut f = stream_ftl(separation);
-            for round in 0..30u64 {
-                for i in 0..48u64 {
-                    let kind = match i % 3 {
-                        0 => OobKind::Journal,
-                        1 => OobKind::Data,
-                        _ => OobKind::Meta,
-                    };
-                    f.write(
-                        UnitWrite {
-                            lpn: Lpn(i),
-                            payload: UnitPayload::single(i, round + 1, 512),
-                            whole_unit: true,
-                        },
-                        kind,
-                        SimTime::ZERO,
-                    )
-                    .unwrap();
-                }
-            }
-            f.flush(SimTime::ZERO).unwrap();
-            for i in 0..48u64 {
-                let (p, _) = f.read(Lpn(i), SimTime::ZERO).unwrap();
-                assert_eq!(
-                    p.fragments[0].version, 30,
-                    "separation={separation} lpn {i}"
-                );
-            }
-            f.check_invariants().unwrap();
-        }
-    }
-
-    /// Fewer write points than streams: separation folds streams onto
-    /// the available lanes without panicking or losing data.
-    #[test]
-    fn separation_with_two_write_points() {
-        let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
-        let mut f = Ftl::new(
-            flash,
-            FtlConfig {
-                unit_bytes: 512,
-                write_points: 2,
-                gc_threshold_blocks: 4,
-                gc_soft_threshold_blocks: 8,
-                write_buffer_units: 16,
-                stream_separation: true,
-                ..FtlConfig::default()
-            },
-        )
-        .unwrap();
-        for i in 0..32u64 {
-            let kind = if i % 2 == 0 {
-                OobKind::Journal
-            } else {
-                OobKind::Meta
-            };
-            wk(&mut f, i, kind);
-        }
-        f.flush(SimTime::ZERO).unwrap();
-        for i in 0..32u64 {
-            let (p, _) = f.read(Lpn(i), SimTime::ZERO).unwrap();
-            assert_eq!(p.fragments[0].key, i);
-        }
         f.check_invariants().unwrap();
     }
 }

@@ -41,7 +41,7 @@ fn op(rng: &mut TestRng) -> Op {
     }
 }
 
-fn build(victim_policy: VictimPolicy, stream_separation: bool) -> Ftl {
+fn build(victim_policy: VictimPolicy) -> Ftl {
     let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
     Ftl::new(
         flash,
@@ -53,7 +53,6 @@ fn build(victim_policy: VictimPolicy, stream_separation: bool) -> Ftl {
             write_buffer_units: 16,
             wear_leveling_threshold: Some(8),
             victim_policy,
-            stream_separation,
             ..FtlConfig::default()
         },
     )
@@ -62,18 +61,14 @@ fn build(victim_policy: VictimPolicy, stream_separation: bool) -> Ftl {
 
 /// Shadow: lpn -> (key, version) of the expected current copy.
 fn run_ops(ops: &[Op]) {
-    run_ops_with(ops, VictimPolicy::default(), false);
+    run_ops_with(ops, VictimPolicy::default());
 }
 
-/// Runs the soup under the given victim policy and placement, verifying
-/// against the shadow throughout, and returns the final logical contents
-/// read back from the device.
-fn run_ops_with(
-    ops: &[Op],
-    victim_policy: VictimPolicy,
-    stream_separation: bool,
-) -> BTreeMap<u64, (u64, u64)> {
-    let mut ftl = build(victim_policy, stream_separation);
+/// Runs the soup under the given victim policy, verifying against the
+/// shadow throughout, and returns the final logical contents read back
+/// from the device.
+fn run_ops_with(ops: &[Op], victim_policy: VictimPolicy) -> BTreeMap<u64, (u64, u64)> {
+    let mut ftl = build(victim_policy);
     let mut shadow: HashMap<u64, (u64, u64)> = HashMap::new();
     let mut next_version = 1u64;
     let t = SimTime::ZERO;
@@ -174,29 +169,24 @@ fn ftl_matches_shadow_under_long_churn() {
     });
 }
 
-/// Victim selection and data placement are performance knobs, never
-/// semantics: the same seeded soup must leave logically identical KV
-/// contents under every policy, with stream separation on or off. Each
-/// run is also independently verified against the shadow model.
+/// Victim selection is a performance knob, never semantics: the same
+/// seeded soup must leave logically identical KV contents under every
+/// policy. Each run is also independently verified against the shadow
+/// model.
 #[test]
 fn victim_policies_are_logically_invariant() {
-    const VARIANTS: [(VictimPolicy, bool); 5] = [
-        (VictimPolicy::Greedy, false),
-        (VictimPolicy::CostBenefit, false),
-        (VictimPolicy::WindowedGreedy { window: 4 }, false),
-        (VictimPolicy::Greedy, true),
-        (VictimPolicy::CostBenefit, true),
+    const VARIANTS: [VictimPolicy; 3] = [
+        VictimPolicy::Greedy,
+        VictimPolicy::CostBenefit,
+        VictimPolicy::WindowedGreedy { window: 4 },
     ];
     check("victim_policies_are_logically_invariant", 12, |rng| {
         let len = rng.range_usize(500, 1_499);
         let ops = soup(rng, len, op);
-        let baseline = run_ops_with(&ops, VARIANTS[0].0, VARIANTS[0].1);
-        for (policy, separation) in &VARIANTS[1..] {
-            let contents = run_ops_with(&ops, *policy, *separation);
-            assert_eq!(
-                baseline, contents,
-                "{policy} (separation {separation}) diverged from greedy"
-            );
+        let baseline = run_ops_with(&ops, VARIANTS[0]);
+        for policy in &VARIANTS[1..] {
+            let contents = run_ops_with(&ops, *policy);
+            assert_eq!(baseline, contents, "{policy} diverged from greedy");
         }
     });
 }

@@ -26,10 +26,11 @@ use checkin_sim::{EventQueue, SimTime, TraceEvent, TraceLayer, Tracer};
 #[derive(Debug, Clone)]
 pub struct CommandQueue {
     depth: usize,
-    /// Completion times, ordered by the same timing wheel the simulator's
+    /// Completion times, ordered by the same event queue the simulator's
     /// event loop uses. Valid because completions are never registered
     /// earlier than the latest one already retired: `done >= start >= at`,
-    /// and admission retires only completions `<= at`.
+    /// and admission retires only completions `<= at`. Admission keeps at
+    /// most `depth` completions pending, the size the queue is built with.
     inflight: EventQueue<()>,
     tracer: Tracer,
 }
@@ -101,6 +102,7 @@ impl CommandQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use checkin_sim::{SimDuration, SimRng};
 
     #[test]
     fn admits_up_to_depth_immediately() {
@@ -130,12 +132,38 @@ mod tests {
         for i in 0..6u64 {
             let s = q.admit(SimTime::ZERO);
             starts.push(s.as_nanos());
-            q.complete(s + checkin_sim::SimDuration::from_nanos(100 * (i + 1)));
+            q.complete(s + SimDuration::from_nanos(100 * (i + 1)));
         }
         assert_eq!(starts[0], 0);
         assert_eq!(starts[1], 0);
         assert!(starts[2] > 0, "third command queued: {starts:?}");
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn in_flight_never_exceeds_depth() {
+        for depth in [1usize, 4, 32] {
+            for seed in 0..8u64 {
+                let mut rng = SimRng::seed_from(seed);
+                let mut q = CommandQueue::new(depth);
+                let mut at = SimTime::ZERO;
+                for step in 0..2_000 {
+                    // Half the arrivals share a tick, so bursts overfill
+                    // the window; the rest arrive after a random gap.
+                    if rng.gen_bool(0.5) {
+                        at += SimDuration::from_nanos(rng.gen_range(2_000));
+                    }
+                    let start = q.admit(at);
+                    let service = 1 + rng.gen_range(10_000);
+                    q.complete(start + SimDuration::from_nanos(service));
+                    assert!(
+                        q.in_flight() <= q.depth(),
+                        "depth {depth} seed {seed} step {step}: {} in flight",
+                        q.in_flight()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

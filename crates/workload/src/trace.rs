@@ -32,11 +32,6 @@ impl OpTrace {
         }
     }
 
-    /// Builds a trace from explicit operations.
-    pub fn from_ops(ops: Vec<Operation>) -> Self {
-        OpTrace { ops }
-    }
-
     /// Number of operations.
     pub fn len(&self) -> usize {
         self.ops.len()
