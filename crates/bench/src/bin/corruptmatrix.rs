@@ -27,6 +27,10 @@
 //! repeats a run with checksum verification disabled and must *observe*
 //! silently-wrong reads, proving the matrix can detect what it hunts.
 //!
+//! The fixture, op stream, driver and shadow oracle are
+//! `checkin_bench::faultlab`, shared with `crashmatrix`; this binary
+//! holds the tiers, cut choosers, injectors and summary.
+//!
 //! Run with `--release`: the engine carries debug assertions that turn
 //! deliberately-served-rot (the sabotage tier) into panics in debug
 //! builds before the harness can observe it.
@@ -36,329 +40,20 @@
 
 use std::collections::BTreeSet;
 
-use checkin_core::{EngineError, KvEngine, Layout, Strategy};
-use checkin_flash::{FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, Ppn};
-use checkin_ftl::{Ftl, FtlConfig, Location, Lpn};
+use checkin_bench::faultlab::{
+    checkpoint_and_idle, drive, ftl_config, is_integrity, profile, Stop, Verdict, OPS, RECORDS,
+};
+use checkin_core::{EngineError, KvEngine, Strategy};
+use checkin_flash::{FaultConfig, FaultOp, FaultPhase, FaultPlan, Ppn};
+use checkin_ftl::{FtlConfig, Location, Lpn};
 use checkin_sim::SimTime;
-use checkin_ssd::{ReadRequest, Ssd, SsdError, SsdTiming};
+use checkin_ssd::{ReadRequest, Ssd};
 use checkin_testkit::TestRng;
 
-/// Keys in the workload (dense, all loaded up front).
-const RECORDS: u64 = 48;
-/// Largest value the workload writes (drives the layout's slot size).
-const MAX_RECORD_BYTES: u32 = 2048;
-/// Journal zone size in sectors — small enough that checkpoints and GC
-/// both happen many times inside one run.
-const ZONE_SECTORS: u64 = 384;
-/// Operations per run after the initial load.
-const OPS: u64 = 700;
-/// Compression ratio for sector-aligned journaling (paper default).
-const COMPRESSION: f64 = 0.7;
 /// Base seed of the whole matrix.
 const MATRIX_SEED: u64 = 0xC044_0B7A_2026_0808;
 /// Untargeted corruptions injected per post-hoc combo.
 const INJECTIONS: u64 = 24;
-
-/// A deliberately tight device: 16 blocks of 16 pages (1 MiB) against a
-/// ~512 KiB logical space, so GC runs inside every workload.
-fn geometry() -> FlashGeometry {
-    FlashGeometry {
-        channels: 2,
-        dies_per_channel: 1,
-        planes_per_die: 1,
-        blocks_per_plane: 8,
-        pages_per_block: 16,
-        page_bytes: 4096,
-    }
-}
-
-fn layout_for(strategy: Strategy) -> Layout {
-    Layout::new(
-        RECORDS,
-        MAX_RECORD_BYTES,
-        strategy.default_unit_bytes(),
-        ZONE_SECTORS,
-    )
-}
-
-fn build_ssd(strategy: Strategy, verify_checksums: bool) -> Ssd {
-    let flash = FlashArray::new(geometry(), FlashTiming::mlc());
-    let ftl = Ftl::new(
-        flash,
-        FtlConfig {
-            unit_bytes: strategy.default_unit_bytes(),
-            write_points: 2,
-            gc_threshold_blocks: 3,
-            gc_soft_threshold_blocks: 6,
-            write_buffer_units: 16,
-            verify_checksums,
-            ..FtlConfig::default()
-        },
-    )
-    .expect("valid FTL config");
-    Ssd::new(ftl, SsdTiming::paper_default())
-}
-
-/// What the engine acknowledged for one key.
-#[derive(Clone, Copy)]
-struct ShadowKey {
-    version: u64,
-    deleted: bool,
-}
-
-#[derive(Clone, Copy)]
-enum Op {
-    Update(u32),
-    Insert(u32),
-    Delete,
-}
-
-/// One driven workload and everything needed to judge it afterwards.
-struct Driven {
-    ssd: Ssd,
-    engine: KvEngine,
-    shadow: Vec<ShadowKey>,
-    /// Key of the single in-flight op when the run stopped early (power
-    /// cut or typed integrity failure) — excluded from strict checking.
-    inflight: Option<u64>,
-    /// A power cut ended the run.
-    cut: bool,
-    /// A *checkpoint* died on a typed integrity failure: data placement
-    /// is mid-transition, so version-exact verification is unsound.
-    cp_aborted: bool,
-    t: SimTime,
-}
-
-fn is_power_loss(e: &EngineError) -> bool {
-    matches!(e, EngineError::Ssd(SsdError::Ftl(f)) if f.is_power_loss())
-}
-
-fn is_integrity(e: &EngineError) -> bool {
-    matches!(e, EngineError::Ssd(s) if s.is_integrity())
-}
-
-fn apply_op(
-    engine: &mut KvEngine,
-    ssd: &mut Ssd,
-    key: u64,
-    op: Op,
-    t: SimTime,
-) -> Result<SimTime, EngineError> {
-    match op {
-        Op::Update(bytes) => engine.update(ssd, key, bytes, t),
-        Op::Insert(bytes) => engine.insert(ssd, key, bytes, t),
-        Op::Delete => engine.delete(ssd, key, t),
-    }
-}
-
-/// Checkpoint, then let GC and the background scrubber use the idle
-/// window — the same idle-work order the system loop uses.
-fn checkpoint_gc_scrub(
-    engine: &mut KvEngine,
-    ssd: &mut Ssd,
-    t: SimTime,
-) -> Result<SimTime, EngineError> {
-    let out = engine.checkpoint(ssd, t)?;
-    let (_, gc_done) = ssd.background_gc(out.finish, 4)?;
-    let (_, scrub_done) = ssd
-        .background_scrub(gc_done, 32)
-        .map_err(EngineError::Ssd)?;
-    Ok(gc_done.max(scrub_done))
-}
-
-/// Runs the seeded workload, optionally under `plan` (armed *after* the
-/// initial load, so tick indices count steady-state operations). Stops
-/// at the first power loss or typed integrity failure; panics on any
-/// other failure — corruption must surface typed, never as a crash.
-fn drive(strategy: Strategy, seed: u64, plan: Option<FaultPlan>, verify: bool) -> Driven {
-    let mut ssd = build_ssd(strategy, verify);
-    let layout = layout_for(strategy);
-    let mut engine = KvEngine::new(strategy, layout, COMPRESSION);
-    let mut rng = TestRng::seed_from(seed);
-    let records: Vec<(u64, u32)> = (0..RECORDS)
-        .map(|k| (k, rng.range_u32(200, MAX_RECORD_BYTES - 48)))
-        .collect();
-    let mut t = engine
-        .load(&mut ssd, &records, SimTime::ZERO)
-        .expect("fault-free load");
-    let mut shadow = vec![
-        ShadowKey {
-            version: 1,
-            deleted: false,
-        };
-        RECORDS as usize
-    ];
-    if let Some(p) = plan {
-        ssd.ftl_mut().flash_mut().arm_faults(p);
-    }
-    let cp_units = (layout.zone_sectors() / layout.unit_sectors()) / 4;
-    let mut inflight = None;
-    let mut cut = false;
-    let mut cp_aborted = false;
-
-    'ops: for _ in 0..OPS {
-        if engine.journal_used_units() >= cp_units {
-            match checkpoint_gc_scrub(&mut engine, &mut ssd, t) {
-                Ok(done) => t = done,
-                Err(e) if is_power_loss(&e) => {
-                    cut = true;
-                    break 'ops;
-                }
-                Err(e) if is_integrity(&e) => {
-                    cp_aborted = true;
-                    break 'ops;
-                }
-                Err(e) => panic!("{strategy} seed {seed}: checkpoint failed: {e}"),
-            }
-        }
-        let key = rng.below(RECORDS);
-        let entry = shadow[key as usize];
-        let bytes = rng.range_u32(200, MAX_RECORD_BYTES - 48);
-        let op = if entry.deleted {
-            Op::Insert(bytes)
-        } else if rng.below(100) < 10 {
-            Op::Delete
-        } else {
-            Op::Update(bytes)
-        };
-        let mut result = apply_op(&mut engine, &mut ssd, key, op, t);
-        if matches!(result, Err(EngineError::JournalFull)) {
-            match checkpoint_gc_scrub(&mut engine, &mut ssd, t) {
-                Ok(done) => t = done,
-                Err(e) if is_power_loss(&e) => {
-                    cut = true;
-                    break 'ops;
-                }
-                Err(e) if is_integrity(&e) => {
-                    cp_aborted = true;
-                    break 'ops;
-                }
-                Err(e) => panic!("{strategy} seed {seed}: checkpoint failed: {e}"),
-            }
-            result = apply_op(&mut engine, &mut ssd, key, op, t);
-        }
-        match result {
-            Ok(done) => {
-                t = done;
-                shadow[key as usize] = ShadowKey {
-                    version: entry.version + 1,
-                    deleted: matches!(op, Op::Delete),
-                };
-            }
-            Err(e) if is_power_loss(&e) => {
-                inflight = Some(key);
-                cut = true;
-                break 'ops;
-            }
-            Err(e) if is_integrity(&e) => {
-                // The op failed typed and was never acked; the key's
-                // journal state may dangle, so checking is skipped for
-                // it (old value, typed error, or nothing are all fine).
-                inflight = Some(key);
-                break 'ops;
-            }
-            Err(e) => panic!("{strategy} seed {seed}: op failed: {e}"),
-        }
-    }
-    Driven {
-        ssd,
-        engine,
-        shadow,
-        inflight,
-        cut,
-        cp_aborted,
-        t,
-    }
-}
-
-/// Integrity verdict of one verified run.
-#[derive(Default, Clone, Copy)]
-struct Verdict {
-    checked: u64,
-    /// Reads that returned a *wrong* value without an error — the one
-    /// thing the whole matrix exists to rule out.
-    silent_wrong: u64,
-    /// Acked keys that vanished (engine lost track without an error).
-    losses: u64,
-    /// Acked deletions that came back readable.
-    resurrections: u64,
-    /// Reads that failed with a typed integrity error (acceptable:
-    /// damage was detected, not served).
-    detected_reads: u64,
-}
-
-impl Verdict {
-    fn absorb(&mut self, other: Verdict) {
-        self.checked += other.checked;
-        self.silent_wrong += other.silent_wrong;
-        self.losses += other.losses;
-        self.resurrections += other.resurrections;
-        self.detected_reads += other.detected_reads;
-    }
-
-    fn clean(&self) -> bool {
-        self.silent_wrong == 0 && self.losses == 0 && self.resurrections == 0
-    }
-}
-
-/// Checks every key against the shadow: each read must return the acked
-/// version or fail with a typed integrity error. `skip` excludes the
-/// single in-flight key of an aborted run. `allow_detected` is false in
-/// tiers where no read may fail at all (e.g. OOB-only rot).
-fn verify(
-    engine: &mut KvEngine,
-    ssd: &mut Ssd,
-    shadow: &[ShadowKey],
-    skip: Option<u64>,
-    t: SimTime,
-    announce: bool,
-) -> Verdict {
-    let mut v = Verdict::default();
-    for (key, exp) in shadow.iter().enumerate() {
-        let key = key as u64;
-        if skip == Some(key) {
-            continue;
-        }
-        v.checked += 1;
-        let read = engine.get(ssd, key, t);
-        match (exp.deleted, read) {
-            (false, Ok(r)) => {
-                if r.version != exp.version {
-                    v.silent_wrong += 1;
-                    if announce {
-                        eprintln!(
-                            "  SILENT key {key}: acked v{}, served v{} with no error",
-                            exp.version, r.version
-                        );
-                    }
-                }
-            }
-            (false, Err(e)) if is_integrity(&e) => v.detected_reads += 1,
-            (false, Err(EngineError::UnknownKey(_))) => {
-                v.losses += 1;
-                if announce {
-                    eprintln!(
-                        "  LOSS key {key}: acked v{} unknown to the engine",
-                        exp.version
-                    );
-                }
-            }
-            (true, Err(EngineError::UnknownKey(_))) => {}
-            (true, Ok(r)) => {
-                v.resurrections += 1;
-                if announce {
-                    eprintln!(
-                        "  RESURRECTED key {key}: acked delete v{}, readable v{}",
-                        exp.version, r.version
-                    );
-                }
-            }
-            (true, Err(e)) if is_integrity(&e) => v.detected_reads += 1,
-            (_, Err(e)) => panic!("verify read of key {key} failed untyped: {e}"),
-        }
-    }
-    v
-}
 
 /// Asserts the FTL's integrity-counter ledger balances: everything
 /// detected was either quarantined or corrected, nothing leaked.
@@ -477,31 +172,17 @@ fn scrub_fully(ssd: &mut Ssd, t: SimTime) -> (u64, u64) {
 // Tiers
 // ---------------------------------------------------------------------
 
-/// Profiling pass: same seed, no faults, full per-tick trace.
-fn profile(strategy: Strategy, seed: u64) -> Vec<FaultOp> {
-    let plan = FaultPlan::new(FaultConfig {
-        record_trace: true,
-        ..FaultConfig::default()
-    });
-    let d = drive(strategy, seed, Some(plan), true);
-    d.ssd
-        .ftl()
-        .flash()
-        .fault_plan()
-        .expect("plan stays armed")
-        .trace()
-        .iter()
-        .map(|&(op, _)| op)
-        .collect()
-}
-
 /// Picks cut ticks that land on *program* operations, so the torn-write
 /// injector actually commits torn pages.
-fn choose_program_cuts(trace: &[FaultOp], rng: &mut TestRng, total: usize) -> Vec<u64> {
+fn choose_program_cuts(
+    trace: &[(FaultOp, FaultPhase)],
+    rng: &mut TestRng,
+    total: usize,
+) -> Vec<u64> {
     let programs: Vec<u64> = trace
         .iter()
         .enumerate()
-        .filter(|(_, op)| matches!(op, FaultOp::Program))
+        .filter(|(_, op)| matches!(op.0, FaultOp::Program))
         .map(|(i, _)| i as u64 + 1)
         .collect();
     let mut ticks = Vec::new();
@@ -528,33 +209,13 @@ fn run_torn_cut(strategy: Strategy, seed: u64, cut_tick: u64) -> (Verdict, u64) 
         torn_writes: true,
         ..FaultConfig::power_cut(seed ^ cut_tick, cut_tick)
     });
-    let mut d = drive(strategy, seed, Some(plan), true);
-    assert!(
-        !d.cp_aborted,
-        "torn tier arms no rot; checkpoints cannot hit corruption"
-    );
-    if !d.ssd.powered_off() {
-        d.ssd.ftl_mut().flash_mut().cut_power();
-        d.inflight = None;
-    }
-    d.ssd
-        .recover_power_loss()
-        .expect("SPOR recovery after an injected power cut");
+    let mut d = drive(strategy, ftl_config(strategy), seed, Some(plan), 1, true);
+    d.recover();
     let torn = d.ssd.ftl().flash().counters().get("flash.torn_writes");
-    let (mut engine, t) = KvEngine::recover(
-        strategy,
-        layout_for(strategy),
-        COMPRESSION,
-        &mut d.ssd,
-        RECORDS,
-        d.t,
-    )
-    .expect("engine recovery");
-    let mut v = verify(&mut engine, &mut d.ssd, &d.shadow, d.inflight, t, true);
-    // In this tier detected_reads are not acceptable: fold them into
-    // losses so the matrix fails loudly if a torn page leaks a mapping.
-    v.losses += v.detected_reads;
-    v.detected_reads = 0;
+    // In this tier typed read failures are not acceptable: `strict`
+    // folds them into losses so the matrix fails loudly if a torn page
+    // leaks a mapping.
+    let v = d.verify(true, true).strict();
     d.ssd
         .ftl()
         .check_invariants()
@@ -584,18 +245,17 @@ struct LiveStats {
 fn run_live(seed: u64, config: FaultConfig) -> (Verdict, LiveStats) {
     let strategy = Strategy::CheckIn;
     let plan = FaultPlan::new(config);
-    let mut d = drive(strategy, seed, Some(plan), true);
-    assert!(!d.cut, "live tiers schedule no power cut");
+    let mut d = drive(strategy, ftl_config(strategy), seed, Some(plan), 1, true);
+    assert_ne!(d.stop, Stop::PowerLoss, "live tiers schedule no power cut");
     let mut stats = LiveStats::default();
-    if d.inflight.is_some() {
+    if d.stop == Stop::OpIntegrity {
         stats.aborted_ops = 1;
     }
-    let verdict = if d.cp_aborted {
+    let verdict = if d.stop == Stop::CheckpointIntegrity {
         stats.aborted_cps = 1;
         Verdict::default()
     } else {
-        let mut engine = d.engine;
-        verify(&mut engine, &mut d.ssd, &d.shadow, d.inflight, d.t, true)
+        d.verify(true, true)
     };
     d.ssd
         .ftl()
@@ -625,10 +285,10 @@ struct PostStats {
 /// right-or-typed, scrub the whole device, and heal detected keys with
 /// fresh writes.
 fn run_posthoc_data(strategy: Strategy, seed: u64) -> (Verdict, PostStats) {
-    let mut d = drive(strategy, seed, None, true);
-    assert!(d.inflight.is_none() && !d.cp_aborted, "clean run");
+    let mut d = drive(strategy, ftl_config(strategy), seed, None, 1, true);
+    assert_eq!(d.stop, Stop::Completed, "clean run");
     let t = d.ssd.flush(d.t).expect("clean flush");
-    let mut engine = d.engine;
+    d.t = t;
     let mut rng = TestRng::seed_from(seed ^ 0x0DD_B17);
     let mut stats = PostStats::default();
 
@@ -637,7 +297,7 @@ fn run_posthoc_data(strategy: Strategy, seed: u64) -> (Verdict, PostStats) {
     let target_key = rng.below(RECORDS);
     let mut targeted = Vec::new();
     if !d.shadow[target_key as usize].deleted {
-        if let Some((ppn, offset)) = flash_home_of(&engine, &d.ssd, target_key) {
+        if let Some((ppn, offset)) = flash_home_of(&d.engine, &d.ssd, target_key) {
             if d.ssd
                 .ftl_mut()
                 .flash_mut()
@@ -650,8 +310,8 @@ fn run_posthoc_data(strategy: Strategy, seed: u64) -> (Verdict, PostStats) {
     let sites = inject_data_rot(&mut d.ssd, &mut rng, INJECTIONS);
     stats.injected = sites.len() as u64 + targeted.len() as u64;
 
-    let verdict = verify(&mut engine, &mut d.ssd, &d.shadow, None, t, true);
-    stats.detected_reads = verdict.detected_reads;
+    let verdict = d.verify(true, true);
+    stats.detected_reads = verdict.detected;
     let (_, scrub_detected) = scrub_fully(&mut d.ssd, t);
     stats.scrub_detected = scrub_detected;
     reconcile_counters(&d.ssd, "post-hoc data tier");
@@ -663,14 +323,14 @@ fn run_posthoc_data(strategy: Strategy, seed: u64) -> (Verdict, PostStats) {
         if exp.deleted {
             continue;
         }
-        let r = engine.get(&mut d.ssd, key, t);
+        let r = d.engine.get(&mut d.ssd, key, t);
         match r {
             Ok(_) => {}
             Err(e) if is_integrity(&e) => {
-                let mut w = engine.update(&mut d.ssd, key, 512, t);
+                let mut w = d.engine.update(&mut d.ssd, key, 512, t);
                 if matches!(w, Err(EngineError::JournalFull)) {
-                    match checkpoint_gc_scrub(&mut engine, &mut d.ssd, t) {
-                        Ok(_) => w = engine.update(&mut d.ssd, key, 512, t),
+                    match checkpoint_and_idle(&mut d.engine, &mut d.ssd, t, true) {
+                        Ok(_) => w = d.engine.update(&mut d.ssd, key, 512, t),
                         Err(e) if is_integrity(&e) => {
                             // A copy checkpoint tripped on another
                             // quarantined unit; healing is blocked but
@@ -683,7 +343,8 @@ fn run_posthoc_data(strategy: Strategy, seed: u64) -> (Verdict, PostStats) {
                 }
                 match w {
                     Ok(_) => {
-                        let back = engine
+                        let back = d
+                            .engine
                             .get(&mut d.ssd, key, t)
                             .expect("healed key reads clean");
                         assert_eq!(back.version, exp.version + 1, "healed key version");
@@ -708,15 +369,14 @@ fn run_posthoc_data(strategy: Strategy, seed: u64) -> (Verdict, PostStats) {
 /// the in-RAM mapping, so every read must still be exactly right; the
 /// SPOR OOB scan must reject every rotted record.
 fn run_posthoc_oob(strategy: Strategy, seed: u64) -> (Verdict, u64, u64) {
-    let mut d = drive(strategy, seed, None, true);
-    assert!(d.inflight.is_none() && !d.cp_aborted, "clean run");
-    let t = d.ssd.flush(d.t).expect("clean flush");
+    let mut d = drive(strategy, ftl_config(strategy), seed, None, 1, true);
+    assert_eq!(d.stop, Stop::Completed, "clean run");
+    d.t = d.ssd.flush(d.t).expect("clean flush");
     let mut rng = TestRng::seed_from(seed ^ 0x00B_407);
     let injected = inject_oob_rot(&mut d.ssd, &mut rng, INJECTIONS / 2);
-    let mut engine = d.engine;
-    let verdict = verify(&mut engine, &mut d.ssd, &d.shadow, None, t, true);
+    let verdict = d.verify(true, true);
     assert_eq!(
-        verdict.detected_reads, 0,
+        verdict.detected, 0,
         "OOB rot must be invisible to mapped reads"
     );
     let snap = d.ssd.scan_oob();
@@ -736,8 +396,13 @@ fn sabotage_self_test(seed: u64) -> (bool, bool) {
     let mut observed_silent = false;
     let mut observed_typed = false;
     for verify_on in [false, true] {
-        let mut d = drive(Strategy::CheckIn, seed, None, verify_on);
-        assert!(d.inflight.is_none() && !d.cp_aborted, "clean run");
+        let strategy = Strategy::CheckIn;
+        let ftl = FtlConfig {
+            verify_checksums: verify_on,
+            ..ftl_config(strategy)
+        };
+        let mut d = drive(strategy, ftl, seed, None, 1, true);
+        assert_eq!(d.stop, Stop::Completed, "clean run");
         let t = d.ssd.flush(d.t).expect("clean flush");
         let engine = d.engine;
         let mut rng = TestRng::seed_from(seed ^ 0x5AB0);
@@ -788,24 +453,13 @@ fn section(title: &str) {
 }
 
 fn main() {
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                eprintln!("usage: corruptmatrix [--quick]");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument `{arg}`");
+        eprintln!("usage: corruptmatrix");
+        std::process::exit(2);
     }
-    let mode = if quick { "quick" } else { "full" };
-    let strategies: Vec<Strategy> = if quick {
-        vec![Strategy::Baseline, Strategy::CheckIn]
-    } else {
-        Strategy::all().to_vec()
-    };
-    println!("corruptmatrix ({mode}): {RECORDS} keys, {OPS} ops/run");
+    let strategies = Strategy::all();
+    println!("corruptmatrix: {RECORDS} keys, {OPS} ops/run");
 
     let mut total = Verdict::default();
     let mut combos = 0u64;
@@ -813,15 +467,15 @@ fn main() {
 
     // ---- Tier 1: torn-write power cuts -----------------------------
     section("torn-write power-cut sweep");
-    let torn_seeds: u64 = if quick { 1 } else { 3 };
-    let cuts_per_workload: usize = if quick { 4 } else { 7 };
+    let torn_seeds: u64 = 3;
+    let cuts_per_workload: usize = 7;
     let mut torn_committed = 0u64;
     for &strategy in &strategies {
         for s in 0..torn_seeds {
             let seed = MATRIX_SEED.wrapping_add(s.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 ^ (strategy.default_unit_bytes() as u64)
                 ^ 0x70A2;
-            let trace = profile(strategy, seed);
+            let trace = profile(strategy, ftl_config(strategy), seed, 1, true);
             let mut rng = TestRng::seed_from(seed ^ 0x7042);
             let cuts = choose_program_cuts(&trace, &mut rng, cuts_per_workload);
             let mut torn_here = 0u64;
@@ -848,12 +502,8 @@ fn main() {
 
     // ---- Tier 2: live retention rot --------------------------------
     section("live bit-rot tier (Check-In, rot strikes mid-workload)");
-    let live_seeds: u64 = if quick { 2 } else { 12 };
-    let rot_rates = if quick {
-        vec![0.002]
-    } else {
-        vec![0.001, 0.003]
-    };
+    let live_seeds: u64 = 12;
+    let rot_rates = [0.001, 0.003];
     let mut live = LiveStats::default();
     let mut rot_checked = 0u64;
     for &rate in &rot_rates {
@@ -885,7 +535,7 @@ fn main() {
 
     // ---- Tier 3: live misdirected writes ---------------------------
     section("live misdirected-write tier (Check-In)");
-    let mis_seeds: u64 = if quick { 2 } else { 12 };
+    let mis_seeds: u64 = 12;
     let mut misdirected = 0u64;
     let mut mis_checked = 0u64;
     let mut mis_aborted_cps = 0u64;
@@ -910,7 +560,7 @@ fn main() {
 
     // ---- Tier 4: post-hoc data rot + scrub + heal ------------------
     section("post-hoc data-rot tier (verify, scrub, heal)");
-    let post_seeds: u64 = if quick { 1 } else { 8 };
+    let post_seeds: u64 = 8;
     let mut post = PostStats::default();
     for &strategy in &strategies {
         for s in 0..post_seeds {
@@ -932,7 +582,7 @@ fn main() {
 
     // ---- Tier 5: post-hoc OOB rot vs the SPOR scan -----------------
     section("post-hoc OOB-rot tier (SPOR scan rejection)");
-    let oob_seeds: u64 = if quick { 1 } else { 6 };
+    let oob_seeds: u64 = 6;
     let mut oob_injected = 0u64;
     let mut oob_rejected = 0u64;
     for &strategy in &strategies {
@@ -958,19 +608,21 @@ fn main() {
     );
 
     // ---- Summary ----------------------------------------------------
-    section(&format!("summary ({mode})"));
+    section("summary");
     println!("  combos            {combos}");
     println!("  keys checked      {}", total.checked);
-    println!("  silently wrong    {}", total.silent_wrong);
-    println!("  losses            {}", total.losses);
-    println!("  resurrections     {}", total.resurrections);
-    println!("  typed detections  {}", total.detected_reads);
+    println!("  silently wrong    {}", total.silent_wrong());
+    println!("  losses            {}", total.missing);
+    println!("  resurrections     {}", total.resurrected);
+    println!("  typed detections  {}", total.detected);
     println!("  torn pages        {torn_committed}");
 
     if !total.clean() {
         eprintln!(
             "FAIL: {} silently-wrong reads, {} losses, {} resurrections",
-            total.silent_wrong, total.losses, total.resurrections
+            total.silent_wrong(),
+            total.missing,
+            total.resurrected
         );
         failed = true;
     }
@@ -1010,8 +662,8 @@ fn main() {
         eprintln!("FAIL: sabotage control saw no typed failure with verification on");
         failed = true;
     }
-    if !quick && combos < 200 {
-        eprintln!("FAIL: only {combos} combos (need >= 200 in full mode)");
+    if combos < 200 {
+        eprintln!("FAIL: only {combos} combos (need >= 200)");
         failed = true;
     }
     if failed {
@@ -1020,6 +672,6 @@ fn main() {
     println!(
         "PASS: {combos} combos, zero silently-wrong reads, \
          {} typed detections, sabotage observed",
-        total.detected_reads
+        total.detected
     );
 }

@@ -3,11 +3,13 @@
 //! Each `benches/figXX_*.rs` target is a standalone binary (Criterion-free,
 //! `harness = false`) that sweeps the parameters of one paper figure and
 //! prints the same rows/series the paper reports, next to the paper's
-//! claims. Run them all with `cargo bench`.
+//! claims. Run them all with `cargo bench`. [`faultlab`] is the shared
+//! driver and shadow oracle of the fault-injection sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod faultlab;
 pub mod harness;
 
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};

@@ -147,15 +147,6 @@ impl Jmt {
         self.stored_bytes
     }
 
-    /// Journal space overhead factor: stored / raw (1.0 = no padding).
-    pub fn space_overhead(&self) -> f64 {
-        if self.raw_bytes == 0 {
-            1.0
-        } else {
-            self.stored_bytes as f64 / self.raw_bytes as f64
-        }
-    }
-
     /// Iterates live entries in key order (deterministic checkpoints).
     /// Dense keys all sort below overflow keys, so chaining preserves
     /// the global order.
@@ -227,14 +218,6 @@ mod tests {
         assert_eq!(j.live_keys(), 1);
         assert_eq!(j.appended(), 2);
         assert_eq!(j.superseded(), 1);
-    }
-
-    #[test]
-    fn space_overhead_reflects_padding() {
-        let mut j = Jmt::new();
-        j.record(1, entry(0, 1)); // 400 raw -> 512 stored
-        assert!((j.space_overhead() - 1.28).abs() < 1e-9);
-        assert_eq!(Jmt::new().space_overhead(), 1.0);
     }
 
     #[test]

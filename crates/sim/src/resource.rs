@@ -8,7 +8,7 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// A single FIFO server with utilization accounting.
+/// A single FIFO server with busy-time accounting.
 ///
 /// # Examples
 ///
@@ -71,11 +71,6 @@ impl Resource {
         self.busy_until
     }
 
-    /// True when the resource has no queued work at instant `at`.
-    pub fn is_idle_at(&self, at: SimTime) -> bool {
-        self.busy_until <= at
-    }
-
     /// Total time spent serving operations.
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
@@ -84,14 +79,6 @@ impl Resource {
     /// Number of operations served.
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Fraction of `[0, horizon]` spent busy.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_time.as_secs_f64() / horizon.as_secs_f64()
     }
 
     /// Debug label.
@@ -108,10 +95,9 @@ impl Resource {
 pub struct ResourcePool {
     servers: Vec<Resource>,
     /// Min-heap of `(available_at, index)` with exactly one entry per
-    /// server. Selection is the lexicographic minimum — identical to a
-    /// first-minimum linear scan, without the O(n) walk per schedule.
-    /// Entries go stale only through [`ResourcePool::schedule_on`] and
-    /// are refreshed lazily when they surface at the top.
+    /// server, always current. Selection is the lexicographic minimum —
+    /// identical to a first-minimum linear scan, without the O(n) walk
+    /// per schedule.
     ready: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
 }
 
@@ -134,30 +120,11 @@ impl ResourcePool {
     /// Schedules on the earliest-available server; returns (server index,
     /// window). Ties pick the lowest server index.
     pub fn schedule(&mut self, at: SimTime, duration: SimDuration) -> (usize, Window) {
-        let idx = loop {
-            let std::cmp::Reverse((avail, idx)) = *self.ready.peek().expect("pool is non-empty");
-            if self.servers[idx].available_at() == avail {
-                break idx;
-            }
-            // Stale (rescheduled via schedule_on since pushed): refresh.
-            self.ready.pop();
-            self.ready
-                .push(std::cmp::Reverse((self.servers[idx].available_at(), idx)));
-        };
-        self.ready.pop();
+        let std::cmp::Reverse((_, idx)) = self.ready.pop().expect("pool is non-empty");
         let win = self.servers[idx].schedule(at, duration);
         self.ready
             .push(std::cmp::Reverse((self.servers[idx].available_at(), idx)));
         (idx, win)
-    }
-
-    /// Schedules on a specific server (e.g. a request pinned to one die).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn schedule_on(&mut self, idx: usize, at: SimTime, duration: SimDuration) -> Window {
-        self.servers[idx].schedule(at, duration)
     }
 
     /// Number of servers.
@@ -168,11 +135,6 @@ impl ResourcePool {
     /// Always false: pools are non-empty by construction.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Accesses a server for inspection.
-    pub fn server(&self, idx: usize) -> &Resource {
-        &self.servers[idx]
     }
 
     /// Total busy time across servers.
@@ -212,14 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_fraction() {
-        let mut r = Resource::new("cpu");
-        r.schedule(SimTime::ZERO, SimDuration::from_nanos(25));
-        assert!((r.utilization(SimTime::from_nanos(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
     fn window_latency_includes_queueing() {
         let mut r = Resource::new("link");
         r.schedule(SimTime::ZERO, SimDuration::from_nanos(100));
@@ -242,26 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_pinned_scheduling() {
-        let mut p = ResourcePool::new("die", 3);
-        let w = p.schedule_on(2, SimTime::ZERO, SimDuration::from_nanos(5));
-        assert_eq!(w.finish, SimTime::from_nanos(5));
-        assert_eq!(p.server(2).ops(), 1);
-        assert_eq!(p.ops(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_pool_panics() {
         let _ = ResourcePool::new("x", 0);
-    }
-
-    #[test]
-    fn idle_check() {
-        let mut r = Resource::new("x");
-        assert!(r.is_idle_at(SimTime::ZERO));
-        r.schedule(SimTime::ZERO, SimDuration::from_nanos(10));
-        assert!(!r.is_idle_at(SimTime::from_nanos(5)));
-        assert!(r.is_idle_at(SimTime::from_nanos(10)));
     }
 }

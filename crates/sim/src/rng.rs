@@ -96,11 +96,6 @@ impl SimRng {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.gen_f64() < p
     }
-
-    /// Derives an independent child generator (for per-component streams).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -159,13 +154,6 @@ mod tests {
         let mut r = SimRng::seed_from(11);
         let hits = (0..10_000).filter(|_| r.gen_bool(0.25)).count();
         assert!((2_200..2_800).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = SimRng::seed_from(1);
-        let mut c = a.fork();
-        assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]

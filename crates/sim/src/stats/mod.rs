@@ -1,10 +1,8 @@
-//! Measurement utilities: counters, latency histograms, throughput.
+//! Measurement utilities: counters and latency histograms.
 
 mod latency;
-mod throughput;
 
 pub use latency::LatencyRecorder;
-pub use throughput::ThroughputMeter;
 
 use std::fmt;
 

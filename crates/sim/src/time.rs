@@ -109,16 +109,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration seconds");
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -285,12 +275,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
-        assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 
     #[test]

@@ -122,15 +122,6 @@ impl RecordSizes {
             .max()
             .expect("non-empty")
     }
-
-    /// Weighted mean size.
-    pub fn mean_bytes(&self) -> f64 {
-        self.choices
-            .iter()
-            .map(|&(s, w)| s as f64 * w as f64)
-            .sum::<f64>()
-            / self.total_weight as f64
-    }
 }
 
 impl Default for RecordSizes {
@@ -179,9 +170,7 @@ mod tests {
             RecordSizes::pattern4(),
         ] {
             assert!(p.max_bytes() <= 4096);
-            assert!(p.mean_bytes() >= 128.0);
         }
-        assert!(RecordSizes::pattern1().mean_bytes() < RecordSizes::pattern3().mean_bytes());
     }
 
     #[test]

@@ -32,18 +32,20 @@ echo "== gclab --quick"
 # the arbiter).
 cargo run --release -p checkin-bench --bin gclab -- --quick --out target/BENCH_gclab.quick.json
 
-echo "== crashmatrix --quick"
+echo "== crashmatrix"
 # Power-cut recovery sweep (DESIGN.md §9): cuts inside checkpoint
 # remapping and GC, shadow-model durability verification, sabotage
 # self-test. Exits non-zero on any acked-write loss or resurrection.
-cargo run --release -p checkin-bench --bin crashmatrix -- --quick
+# The whole 299-combo matrix takes well under a second.
+cargo run --release -p checkin-bench --bin crashmatrix
 
-echo "== corruptmatrix --quick"
+echo "== corruptmatrix"
 # Data-integrity sweep (DESIGN.md §13): torn writes, retention bit-rot
 # in data and OOB, misdirected programs; shadow-model verification that
 # no read is ever silently wrong, scrub/heal coverage, sabotage
 # self-test with verification disabled. Exits non-zero on any escape.
-cargo run --release -p checkin-bench --bin corruptmatrix -- --quick
+# The whole 212-combo matrix takes well under a second.
+cargo run --release -p checkin-bench --bin corruptmatrix
 
 echo "== checkin trace smoke run"
 # Cross-layer tracing (DESIGN.md §10): a tiny checkpointing run must

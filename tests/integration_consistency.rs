@@ -5,36 +5,18 @@
 
 use std::collections::HashMap;
 
-use checkin_core::{EngineError, KvEngine, Layout, Strategy};
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
-use checkin_ftl::{Ftl, FtlConfig};
+use checkin_core::{EngineError, KvEngine, Strategy};
 use checkin_sim::{SimRng, SimTime};
-use checkin_ssd::{Ssd, SsdTiming};
+
+mod common;
 
 const RECORDS: u64 = 80;
-
-fn build(strategy: Strategy) -> (Ssd, KvEngine) {
-    let unit = strategy.default_unit_bytes();
-    let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
-    let ftl = Ftl::new(
-        flash,
-        FtlConfig {
-            unit_bytes: unit,
-            write_points: 2,
-            gc_threshold_blocks: 4,
-            gc_soft_threshold_blocks: 8,
-            ..FtlConfig::default()
-        },
-    )
-    .unwrap();
-    let ssd = Ssd::new(ftl, SsdTiming::paper_default());
-    let layout = Layout::new(RECORDS, 4096 + 16, unit, 1 << 10);
-    (ssd, KvEngine::new(strategy, layout, 0.7))
-}
+/// Journal zone size in sectors.
+const ZONE_SECTORS: u64 = 1 << 10;
 
 /// Random op soup, mirrored into a shadow model, verified continuously.
 fn churn(strategy: Strategy, seed: u64, ops: usize) {
-    let (mut ssd, mut engine) = build(strategy);
+    let (mut ssd, mut engine) = common::build(strategy, RECORDS, ZONE_SECTORS);
     let mut rng = SimRng::seed_from(seed);
     let mut shadow: HashMap<u64, u64> = HashMap::new();
 
@@ -126,7 +108,7 @@ fn checkin_matches_shadow_model_across_seeds() {
 #[test]
 fn consistency_holds_with_crash_recovery_interleaved() {
     let strategy = Strategy::CheckIn;
-    let (mut ssd, mut engine) = build(strategy);
+    let (mut ssd, mut engine) = common::build(strategy, RECORDS, ZONE_SECTORS);
     let layout = *engine.layout();
     let mut rng = SimRng::seed_from(77);
     let mut shadow: HashMap<u64, u64> = HashMap::new();

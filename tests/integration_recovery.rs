@@ -2,33 +2,15 @@
 //! lost; device state — including its power-protected buffer — survives),
 //! the engine must recover the last checkpoint plus the journal tail.
 
-use checkin_core::{EngineError, KvEngine, Layout, Strategy};
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
-use checkin_ftl::{Ftl, FtlConfig};
+use checkin_core::{EngineError, KvEngine, Strategy};
 use checkin_sim::SimTime;
-use checkin_ssd::{Ssd, SsdTiming};
+use checkin_ssd::Ssd;
+
+mod common;
 
 const RECORDS: u64 = 48;
-
-fn build(strategy: Strategy) -> (Ssd, KvEngine, Layout) {
-    let unit = strategy.default_unit_bytes();
-    let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
-    let ftl = Ftl::new(
-        flash,
-        FtlConfig {
-            unit_bytes: unit,
-            write_points: 2,
-            gc_threshold_blocks: 4,
-            gc_soft_threshold_blocks: 8,
-            ..FtlConfig::default()
-        },
-    )
-    .unwrap();
-    let ssd = Ssd::new(ftl, SsdTiming::paper_default());
-    let layout = Layout::new(RECORDS, 4096 + 16, unit, 1 << 11);
-    let engine = KvEngine::new(strategy, layout, 0.7);
-    (ssd, engine, layout)
-}
+/// Journal zone size in sectors.
+const ZONE_SECTORS: u64 = 1 << 11;
 
 fn load_and_update(
     ssd: &mut Ssd,
@@ -53,11 +35,12 @@ fn load_and_update(
 }
 
 fn recover_for(strategy: Strategy, mut pre_crash: impl FnMut(&mut Ssd, &mut KvEngine) -> SimTime) {
-    let (mut ssd, mut engine, layout) = build(strategy);
+    let (mut ssd, mut engine) = common::build(strategy, RECORDS, ZONE_SECTORS);
     let t = pre_crash(&mut ssd, &mut engine);
     let expected: Vec<u64> = (0..RECORDS)
         .map(|k| engine.version_of(k).unwrap())
         .collect();
+    let layout = *engine.layout();
 
     // Crash: host memory (engine, JMT) vanishes; the device persists.
     drop(engine);
@@ -111,7 +94,8 @@ fn recovery_without_any_checkpoint() {
 
 #[test]
 fn recovered_engine_accepts_new_work() {
-    let (mut ssd, mut engine, layout) = build(Strategy::CheckIn);
+    let (mut ssd, mut engine) = common::build(Strategy::CheckIn, RECORDS, ZONE_SECTORS);
+    let layout = *engine.layout();
     let t = load_and_update(&mut ssd, &mut engine, 3, 2);
     drop(engine);
     let (mut recovered, t) =
@@ -132,7 +116,8 @@ fn recovered_engine_accepts_new_work() {
 
 #[test]
 fn double_crash_recovers_twice() {
-    let (mut ssd, mut engine, layout) = build(Strategy::CheckIn);
+    let (mut ssd, mut engine) = common::build(Strategy::CheckIn, RECORDS, ZONE_SECTORS);
+    let layout = *engine.layout();
     let mut t = load_and_update(&mut ssd, &mut engine, 3, 2);
     let expected: Vec<u64> = (0..RECORDS)
         .map(|k| engine.version_of(k).unwrap())
@@ -150,7 +135,8 @@ fn double_crash_recovers_twice() {
 
 #[test]
 fn unknown_key_still_errors_after_recovery() {
-    let (mut ssd, mut engine, layout) = build(Strategy::CheckIn);
+    let (mut ssd, mut engine) = common::build(Strategy::CheckIn, RECORDS, ZONE_SECTORS);
+    let layout = *engine.layout();
     let t = load_and_update(&mut ssd, &mut engine, 1, 10);
     drop(engine);
     let (mut recovered, t) =

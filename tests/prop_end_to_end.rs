@@ -3,12 +3,13 @@
 
 use std::collections::HashMap;
 
-use checkin_core::{align_log, EngineError, KvEngine, Layout, LogClass, Strategy};
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
-use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun};
+use checkin_core::{align_log, EngineError, LogClass, Strategy};
+use checkin_ftl::{Location, Lpn, MappingTable, Pun};
 use checkin_sim::SimTime;
-use checkin_ssd::{Ssd, SsdTiming, SECTOR_BYTES};
+use checkin_ssd::SECTOR_BYTES;
 use checkin_testkit::{check, soup, TestRng};
+
+mod common;
 
 // ---------------------------------------------------------------------
 // Algorithm 2 (sector alignment) invariants
@@ -137,27 +138,8 @@ fn stack_op(rng: &mut TestRng) -> StackOp {
 
 const RECORDS: u64 = 64;
 
-fn build(strategy: Strategy) -> (Ssd, KvEngine) {
-    let unit = strategy.default_unit_bytes();
-    let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
-    let ftl = Ftl::new(
-        flash,
-        FtlConfig {
-            unit_bytes: unit,
-            write_points: 2,
-            gc_threshold_blocks: 4,
-            gc_soft_threshold_blocks: 8,
-            ..FtlConfig::default()
-        },
-    )
-    .unwrap();
-    let ssd = Ssd::new(ftl, SsdTiming::paper_default());
-    let layout = Layout::new(RECORDS, 4096 + 16, unit, 1 << 10);
-    (ssd, KvEngine::new(strategy, layout, 0.7))
-}
-
 fn run_stack_ops(strategy: Strategy, ops: &[StackOp]) {
-    let (mut ssd, mut engine) = build(strategy);
+    let (mut ssd, mut engine) = common::build(strategy, RECORDS, 1 << 10);
     let records: Vec<(u64, u32)> = (0..RECORDS).map(|k| (k, 256)).collect();
     let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
     let mut shadow: HashMap<u64, u64> = records.iter().map(|&(k, _)| (k, 1)).collect();
